@@ -6,9 +6,6 @@ weighted graph until no move improves modularity — then maps labels back
 down.  It is deterministic for a fixed seed and works per connected
 component (a vertex never joins a community it has no edge into, so
 communities cannot span components).
-
-The detector sits behind a small config object so an alternative method
-can be plugged in without touching calling code.
 """
 
 from __future__ import annotations
@@ -26,8 +23,9 @@ __all__ = ["DetectorConfig", "detect", "modularity"]
 class DetectorConfig:
     """Which detector to run and how.
 
-    method: registered detector name; resolution: modularity resolution
-    (> 0, 1.0 = plain modularity); seed: RNG seed for sweep order.
+    method: detector name, only "greedy-modularity"; resolution:
+    modularity resolution (> 0, 1.0 = plain modularity); seed: RNG seed
+    for sweep order.
     """
 
     method: str = "greedy-modularity"
@@ -127,7 +125,9 @@ def _dense_by_first_appearance(labels: np.ndarray) -> np.ndarray:
     return out
 
 
-def _greedy_modularity(g: Graph, config: DetectorConfig) -> np.ndarray:
+def _greedy_modularity(g: Graph, config: DetectorConfig):
+    """Returns (assignment, adj, loops): each vertex's super-vertex at
+    the top level, and that level's weighted graph."""
     rng = np.random.default_rng(config.seed)
     adj: list[dict[int, float]] = [
         {int(j): 1.0 for j in g.neighbors(v)} for v in range(g.n)
@@ -139,13 +139,8 @@ def _greedy_modularity(g: Graph, config: DetectorConfig) -> np.ndarray:
         if not moved:
             break
         adj, loops, dense = _aggregate(adj, loops, comm)
-        assignment = dense[comm[assignment]]
-    return _dense_by_first_appearance(assignment)
-
-
-_DETECTORS = {
-    "greedy-modularity": _greedy_modularity,
-}
+        assignment = dense[assignment]
+    return assignment, adj, loops
 
 
 def detect(g: Graph, config: DetectorConfig | None = None) -> np.ndarray:
@@ -155,10 +150,8 @@ def detect(g: Graph, config: DetectorConfig | None = None) -> np.ndarray:
     as singleton communities.  Unknown method names raise.
     """
     cfg = config or DetectorConfig()
-    try:
-        fn = _DETECTORS[cfg.method]
-    except KeyError:
-        raise ValueError(f"unknown detection method {cfg.method!r}") from None
+    if cfg.method != "greedy-modularity":
+        raise ValueError(f"unknown detection method {cfg.method!r}")
     if g.n == 0:
         return np.zeros(0, dtype=np.int64)
-    return fn(g, cfg)
+    return _dense_by_first_appearance(_greedy_modularity(g, cfg)[0])

@@ -1,9 +1,9 @@
 """Probabilistic coalescing of a sample forest into a network.
 
 Every occurrence in the forest starts as its own group.  Pairs of groups
-are then repeatedly drawn from a candidate index and merged with a
-probability that reflects how likely the two occurrences are to be the
-same underlying person, given the category information:
+are then merged one at a time, each with a probability that reflects how
+likely the two occurrences are to be the same underlying person, given
+the category information:
 
 * respondent-respondent pairs never merge (respondents are distinct by
   construction of vertex-disjoint paths);
@@ -20,12 +20,20 @@ Probabilities are clamped to 1.  ``n_t`` — the size of the network being
 reconstructed — is an explicit input; merging stops when the group count
 reaches it.  The category distribution is likewise an explicit input:
 nothing in this module reads the forest's sealed truth mapping.
+
+The coalescing process is: draw a candidate pair (alive, overlapping
+payloads, not respondent-respondent) uniformly, merge it with its
+probability p, and draw again on rejection.  A rejected draw changes
+nothing, so each merge falls on a pair with probability p / Σp, and the
+number of draws it takes is Geometric(Σp / |candidates|).  The sampler
+draws both directly from a weight matrix of all pair probabilities, so
+no time goes into rejected draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -43,6 +51,8 @@ __all__ = [
     "reconstruct",
 ]
 
+_BLOCK = 256  # rows whose weights are computed together
+
 
 @dataclass(frozen=True)
 class MergeEvent:
@@ -59,8 +69,9 @@ class ReconResult:
 
     ``graph`` is the coalesced simple graph; ``provenance[occ]`` gives
     the reconstructed vertex each forest occurrence ended up in;
-    ``log`` lists the merge events in order; ``attempts`` counts drawn
-    candidate pairs (including rejected draws).
+    ``log`` lists the merge events in order; ``attempts`` counts the
+    candidate-pair draws of the rejection process, rejected ones
+    included.
     """
 
     graph: Graph
@@ -70,7 +81,7 @@ class ReconResult:
 
 
 class ReconstructionStalled(RuntimeError):
-    """Raised when the target size is unreachable with the attempt budget.
+    """Raised when the target size cannot be reached.
 
     Carries the partial result so callers can inspect or keep what was
     coalesced so far.
@@ -95,17 +106,31 @@ class ReconState:
     """Mutable state of a coalescing run.
 
     Groups are indexed by the occurrence id of their first member; dead
-    group slots stay in the arrays but are flagged.  The candidate pair
-    index holds every alive pair that is not respondent-respondent and
-    whose payload intervals overlap — a cheap superset of the pairs with
-    positive merge probability (adjacency-based exclusions are applied
-    when the probability is evaluated).
+    group slots stay in the arrays but are flagged.  Two dense symmetric
+    matrices over group slots hold the pairs in play:
+
+    * ``C[i, j]`` marks the candidate pairs: both alive, payload
+      intervals overlapping, not respondent-respondent;
+    * ``W[i, j]`` is the merge probability of a candidate pair as a
+      float, zero where a rule forbids the merge.
+
+    ``n_pairs`` counts the candidate pairs, ``w_sum`` holds the row sums
+    of ``W`` and ``w_pos`` the number of positive weights in each row: a
+    row whose count is zero has no weight left, whatever rounding has
+    left in its sum.
+
+    Friends are only ever adjacent to respondents, so a merge changes no
+    adjacency or shared respondent between two other groups: only the
+    rows and columns of the two merged groups change.
     """
 
     def __init__(self, forest: SampleForest, dist: CategoryDistribution, n_t: int):
         if dist.g != forest.g:
             raise ValueError("distribution and forest disagree on category count")
         n = forest.size
+        child = np.flatnonzero(forest.parent >= 0)
+        if (forest.kind[forest.parent[child]] != RESPONDENT).any():
+            raise ValueError("every occurrence must be named by a respondent")
         self.n_t = int(n_t)
         self.dist = dist
         self.kind = forest.kind.copy()
@@ -115,7 +140,6 @@ class ReconState:
         self.n_alive = n
         self.members: list[list[int]] = [[i] for i in range(n)]
         self.adj: list[set[int]] = [set() for _ in range(n)]
-        child = np.flatnonzero(forest.parent >= 0)
         for c in child:
             p = int(forest.parent[c])
             self.adj[p].add(int(c))
@@ -124,50 +148,20 @@ class ReconState:
         p = dist.p
         if p.dtype == object:
             self._cum = list(accumulate(p, initial=p[0] - p[0]))
+            self._cumf = np.array([float(x) for x in self._cum])
         else:
-            self._cum = np.concatenate([[0.0], np.cumsum(p)])
-        self._build_pairs()
+            self._cum = self._cumf = np.concatenate([[0.0], np.cumsum(p)])
+        self._resp = self.kind == RESPONDENT
+        self._friend = (self.kind == FRIEND).tolist()  # for Python loops
+        self._mass = self._slot_mass(np.arange(n))
+        self.C, self.W, self.w_sum, self.w_pos = self._matrices()
+        self.n_pairs = np.count_nonzero(self.C) // 2
 
-    # -- candidate pair index ------------------------------------------
-
-    def _compatible_partners(self, i: int) -> np.ndarray:
-        """Alive groups whose payload overlaps i's, kind-compatible, != i."""
-        mask = self.alive & (self.lo <= self.hi[i]) & (self.lo[i] <= self.hi)
-        if self.kind[i] == RESPONDENT:
-            mask &= self.kind == FRIEND
-        mask[i] = False
-        return np.flatnonzero(mask)
-
-    def _build_pairs(self) -> None:
-        self.pairs: list[tuple[int, int]] = []
-        self._pos: dict[tuple[int, int], int] = {}
-        self.partners: list[set[int]] = [set() for _ in range(self.kind.size)]
-        n = self.kind.size
-        for i in range(n):
-            js = self._compatible_partners(i)
-            for j in js[js > i]:
-                self._add_pair(i, int(j))
-
-    def _add_pair(self, a: int, b: int) -> None:
-        key = (a, b) if a < b else (b, a)
-        if key in self._pos:
-            return
-        self._pos[key] = len(self.pairs)
-        self.pairs.append(key)
-        self.partners[a].add(b)
-        self.partners[b].add(a)
-
-    def _remove_pair(self, a: int, b: int) -> None:
-        key = (a, b) if a < b else (b, a)
-        idx = self._pos.pop(key, None)
-        if idx is None:
-            return
-        last = self.pairs.pop()
-        if idx < len(self.pairs):
-            self.pairs[idx] = last
-            self._pos[last] = idx
-        self.partners[a].discard(b)
-        self.partners[b].discard(a)
+    @property
+    def pairs(self) -> np.ndarray:
+        """The candidate pairs (i < j) as rows of an (m, 2) array, read
+        off ``C``."""
+        return np.argwhere(np.triu(self.C, 1))
 
     # -- probabilities ---------------------------------------------------
 
@@ -177,8 +171,70 @@ class ReconState:
         zero = self._cum[0]
         return val if val > zero else zero
 
-    def group_description(self, i: int) -> Description:
-        return Description(int(self.lo[i]), int(self.hi[i]))
+    def _forbidden(self, i: int) -> list[int]:
+        """Groups an adjacency rule keeps from merging with i: its
+        neighbors and, for a friend, the friends of its respondents."""
+        out = list(self.adj[i])
+        if self._friend[i]:
+            out += [x for x in chain.from_iterable(self.adj[r] for r in self.adj[i])
+                    if self._friend[x]]
+        return out
+
+    def _slot_mass(self, i):
+        """Pr of the descriptions of groups i; 1 for a respondent, whose
+        pairs take their mass from the friend's side."""
+        cum = self._cumf
+        return np.where(self._resp[i], 1.0,
+                        np.maximum(cum[self.hi[i]] - cum[self.lo[i] - 1], 0.0))
+
+    def _candidates(self, i: int) -> np.ndarray:
+        """Group i's row of ``C``: the alive groups other than i whose
+        payload overlaps i's, only friends for a respondent."""
+        cand = (self.lo <= int(self.hi[i])) & (self.hi >= int(self.lo[i])) & self.alive
+        if self._resp[i]:
+            cand &= ~self._resp
+        cand[i] = False
+        return cand
+
+    def _weights(self, i, j) -> np.ndarray:
+        """Merge probabilities of the candidate pairs (i, j) before the
+        adjacency rules of :meth:`_forbidden`: 1 / (n_t Pr(d_f)) for a
+        respondent and a friend, Pr(d_u ∩ d_v) / (n_t Pr(d_u) Pr(d_v))
+        for two friends."""
+        lo, hi, cum, mass = self.lo, self.hi, self._cumf, self._mass
+        num = np.maximum(cum[np.minimum(hi[i], hi[j])]
+                         - cum[np.maximum(lo[i], lo[j]) - 1], 0.0)
+        num[self._resp[i] | self._resp[j]] = 1.0
+        den = self.n_t * (mass[i] * mass[j])
+        p = np.zeros(den.shape)
+        np.divide(num, den, out=p, where=den > 0)
+        return np.minimum(p, 1.0, out=p)
+
+    def _matrices(self):
+        """``C``, ``W``, ``w_sum`` and ``w_pos`` computed from scratch: the
+        candidates row by row, their weights for a block of rows at a
+        time."""
+        n = self.kind.size
+        cand = np.zeros((n, n), dtype=bool)
+        w = np.zeros((n, n))
+        w_sum = np.zeros(n)
+        w_pos = np.zeros(n, dtype=np.int64)
+        alive = np.flatnonzero(self.alive).tolist()
+        for start in range(0, len(alive), _BLOCK):
+            rows = alive[start:start + _BLOCK]
+            cols = []
+            for r in rows:
+                cand[r] = self._candidates(r)
+                cols.append(cand[r].nonzero()[0])
+            i = np.repeat(rows, [c.size for c in cols])
+            j = np.concatenate(cols)
+            w[i, j] = self._weights(i, j)
+            for r in rows:
+                w[r][self._forbidden(r)] = 0.0
+            v = w[i, j]
+            w_sum += np.bincount(i, weights=v, minlength=n)
+            w_pos += np.bincount(i[v > 0], minlength=n)
+        return cand, w, w_sum, w_pos
 
     # -- merging ---------------------------------------------------------
 
@@ -203,11 +259,9 @@ class ReconState:
             self.hi[s] = min(self.hi[s], self.hi[o])
             if self.lo[s] > self.hi[s]:
                 raise ValueError("merging groups with disjoint descriptions")
+            self._mass[s] = self._slot_mass(s)
         self.members[s].extend(self.members[o])
         self.members[o] = []
-        for grp in (s, o):
-            for x in list(self.partners[grp]):
-                self._remove_pair(grp, x)
         for x in self.adj[o]:
             self.adj[x].discard(o)
             if x != s:
@@ -217,12 +271,38 @@ class ReconState:
         self.adj[o] = set()
         self.alive[o] = False
         self.n_alive -= 1
-        for x in self._compatible_partners(s):
-            self._add_pair(s, int(x))
+        self._refresh(s, o)
         return s
 
+    def _refresh(self, s: int, o: int) -> None:
+        """Recompute the row and column of s and clear those of o, writing
+        only at the candidates of each row, the same entries as its
+        column's by symmetry."""
+        cand = self._candidates(s)
+        idx = cand.nonzero()[0]
+        row = np.zeros(self.kind.size)
+        row[idx] = self._weights(s, idx)
+        row[self._forbidden(s)] = 0.0
+        w = row[idx]
+        for x in (s, o):
+            old = self.C[x].nonzero()[0]
+            w_old = self.W[x][old]
+            self.n_pairs -= old.size
+            self.w_sum[old] -= w_old
+            self.w_pos[old] -= w_old > 0
+            self.C[x][old] = self.C[old, x] = False
+            self.W[x][old] = self.W[old, x] = 0.0
+        self.C[s][idx] = self.C[idx, s] = True
+        self.W[s][idx] = self.W[idx, s] = w
+        self.n_pairs += idx.size
+        self.w_sum[idx] += w
+        self.w_pos[idx] += w > 0
+        self.w_sum[s], self.w_pos[s] = w.sum(), np.count_nonzero(w)
+        self.w_sum[o] = self.w_pos[o] = 0
+
     def check_invariants(self, forest: SampleForest) -> None:
-        """Debug/test hook: verify structural invariants of the state."""
+        """Debug/test hook: verify structural invariants of the state,
+        and that the matrices equal a fresh recomputation."""
         alive_ids = np.flatnonzero(self.alive)
         seen: set[int] = set()
         for i in alive_ids:
@@ -238,6 +318,15 @@ class ReconState:
                 assert self.alive[x] and x != i, "edge to dead group or self"
                 assert i in self.adj[x], "asymmetric adjacency"
         assert len(seen) == forest.size, "lost occurrences"
+        slots = np.arange(self.kind.size)
+        assert (self._mass == self._slot_mass(slots)).all(), "masses out of date"
+        cand, w, _, _ = self._matrices()
+        assert (self.C == cand).all(), "candidate matrix out of date"
+        assert (self.W == w).all(), "weight matrix out of date"
+        assert self.n_pairs == np.count_nonzero(cand) // 2, "candidate count out of date"
+        assert (self.w_pos == np.count_nonzero(w, axis=1)).all(), "positive counts out of date"
+        assert np.allclose(self.w_sum, w.sum(axis=1), rtol=1e-9, atol=1e-12), \
+            "weight row sums out of date"
 
 
 def pair_probability(state: ReconState, a: int, b: int):
@@ -246,7 +335,9 @@ def pair_probability(state: ReconState, a: int, b: int):
     Symmetric in its arguments, clamped to 1, and exactly zero whenever
     a structural rule forbids the merge (two respondents, current
     adjacency, category mismatch, shared respondent neighbor, or a
-    description with no support under the distribution).
+    description with no support under the distribution).  The scalar
+    reference for ``state.W``: exact rationals when the distribution
+    holds Fractions.
     """
     if a == b:
         raise ValueError("a pair needs two distinct groups")
@@ -269,7 +360,7 @@ def pair_probability(state: ReconState, a: int, b: int):
         pb = state.interval_prob(int(state.lo[b]), int(state.hi[b]))
         if pa <= 0 or pb <= 0:
             return 0.0
-        p = state.interval_prob(int(lo), int(hi)) / (state.n_t * pa * pb)
+        p = state.interval_prob(int(lo), int(hi)) / (state.n_t * (pa * pb))
     else:
         r, f = (a, b) if ka == RESPONDENT else (b, a)
         cat = int(state.lo[r])
@@ -298,20 +389,34 @@ def _result(state: ReconState, log: list[MergeEvent], attempts: int) -> ReconRes
     return ReconResult(graph, prov, log, attempts)
 
 
+def _draw(cum: np.ndarray, u: float) -> int:
+    """Index drawn ∝ the weights whose running sums are ``cum``, by a
+    uniform u in [0, 1)."""
+    i = int(np.searchsorted(cum, u * cum[-1], side="right"))
+    if i == cum.size:  # u * total rounded up to the total
+        i = int(np.searchsorted(cum, cum[-1]))
+    return i
+
+
 def reconstruct(forest: SampleForest, dist: CategoryDistribution, n_t: int,
                 seed: int, max_attempts: int | None = None,
                 validate: bool = False) -> ReconResult:
     """Coalesce ``forest`` down to ``n_t`` vertices.
 
-    Draws uniformly among candidate pairs (all overlapping, kind-
-    compatible group pairs) and merges each drawn pair with its current
-    pair probability.  A rejected draw leaves the pair in play.  Stops
-    when the group count reaches ``n_t``.
+    Each merge falls on a candidate pair with probability p / Σp, where
+    p is the current pair probability.  That is the law of drawing
+    candidate pairs uniformly and accepting each with probability p; the
+    attempts that process would make are drawn as Geometric(Σp /
+    |candidates|) per merge.  Stops when the group count reaches
+    ``n_t``.
 
     Raises :class:`ReconstructionStalled` — carrying the partial result —
-    if no candidate pairs remain or the attempt budget (default
-    ``1000 * forest.size``) runs out first.  ``validate=True`` checks
-    state invariants after every merge (slow; for tests).
+    at once when no candidate pair is left or none has a positive
+    probability (``attempts`` then counts only the draws made), and when
+    the attempt budget (default ``1000 * forest.size``) would run out
+    before the next merge (``attempts`` is then the budget).
+    ``validate=True`` checks the state after every merge (slow; for
+    tests).
     """
     n = forest.size
     n_resp = forest.n_r
@@ -328,24 +433,28 @@ def reconstruct(forest: SampleForest, dist: CategoryDistribution, n_t: int,
     log: list[MergeEvent] = []
     attempts = 0
     while state.n_alive > n_t:
-        if not state.pairs:
+        if state.n_pairs == 0:
             raise ReconstructionStalled(
                 f"no candidate pairs left at size {state.n_alive} (target {n_t})",
                 _result(state, log, attempts))
-        if attempts >= max_attempts:
+        # a row with no positive weight left may still hold rounding residue
+        cum = np.cumsum(np.where(state.w_pos > 0, state.w_sum, 0.0))
+        if cum[-1] <= 0:
+            raise ReconstructionStalled(
+                "no candidate pair has positive merge probability at size "
+                f"{state.n_alive} (target {n_t})", _result(state, log, attempts))
+        attempts += int(rng.geometric(min(1.0, float(cum[-1]) / 2 / state.n_pairs)))
+        if attempts > max_attempts:
             raise ReconstructionStalled(
                 f"attempt budget {max_attempts} exhausted at size {state.n_alive} "
-                f"(target {n_t})", _result(state, log, attempts))
-        attempts += 1
-        a, b = state.pairs[int(rng.integers(len(state.pairs)))]
-        p = pair_probability(state, a, b)
-        if p <= 0:
-            continue
-        if p < 1 and rng.random() >= float(p):
-            continue
+                f"(target {n_t})", _result(state, log, max_attempts))
+        a = _draw(cum, rng.random())
+        cols = state.C[a].nonzero()[0]
+        b = int(cols[_draw(np.cumsum(state.W[a, cols]), rng.random())])
+        a, b = min(a, b), max(a, b)
         log.append(MergeEvent(tuple(sorted(state.members[a])),
                               tuple(sorted(state.members[b])),
-                              float(p)))
+                              float(state.W[a, b])))
         state.merge(a, b)
         if validate:
             state.check_invariants(forest)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 
-__all__ = ["derive_seed", "spawn"]
+__all__ = ["derive_seed"]
 
 _SEP = b"\x1f"  # unit separator, cannot appear in decimal/ascii tokens
 
@@ -25,7 +25,3 @@ def derive_seed(master: int, *tokens: object) -> int:
         h.update(str(tok).encode())
     return int.from_bytes(h.digest()[:8], "big")
 
-
-def spawn(master: int, *tokens: object, count: int) -> list[int]:
-    """Derive ``count`` independent seeds sharing a token prefix."""
-    return [derive_seed(master, *tokens, i) for i in range(count)]

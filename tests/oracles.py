@@ -195,3 +195,60 @@ def set_partitions(n):
             yield from grow(i + 1, k + 1 if c == k else k)
 
     yield from grow(1, 1) if n > 1 else iter([[0] * n])
+
+
+def coalescing_reference(is_respondent, lo, hi, parent, groups, probs, n_t):
+    """Candidate flags and merge probabilities of every pair of groups,
+    straight from the coalescing rules.
+
+    The forest's occurrences are given by ``is_respondent``, the payload
+    interval ``lo``..``hi`` (a respondent's is its exact category) and
+    ``parent`` (-1 for a path seed).  ``groups`` lists the occurrences of
+    each current group; ``probs[c - 1]`` is the mass of category c.
+
+    Returns two dicts keyed by group index pairs (i, j), i < j: whether
+    the pair is a candidate (payloads overlap, not two respondents), and
+    its merge probability.
+    """
+    group_of = {}
+    for gi, members in enumerate(groups):
+        for occ in members:
+            group_of[occ] = gi
+    resp = []
+    payload = []
+    for members in groups:
+        r = [o for o in members if is_respondent[o]]
+        resp.append(bool(r))
+        if r:
+            payload.append((lo[r[0]], lo[r[0]]))
+        else:
+            payload.append((max(lo[o] for o in members),
+                            min(hi[o] for o in members)))
+    neighbors = [set() for _ in groups]
+    for occ, par in enumerate(parent):
+        if par >= 0 and group_of[occ] != group_of[par]:
+            neighbors[group_of[occ]].add(group_of[par])
+            neighbors[group_of[par]].add(group_of[occ])
+
+    def mass(a, b):
+        return sum(probs[c - 1] for c in range(a, b + 1))
+
+    candidate = {}
+    prob = {}
+    for i, j in combinations(range(len(groups)), 2):
+        (lo_i, hi_i), (lo_j, hi_j) = payload[i], payload[j]
+        lo_ij, hi_ij = max(lo_i, lo_j), min(hi_i, hi_j)
+        candidate[i, j] = lo_ij <= hi_ij and not (resp[i] and resp[j])
+        p = 0.0
+        if resp[i] and resp[j] or j in neighbors[i] or lo_ij > hi_ij:
+            pass
+        elif resp[i] or resp[j]:
+            f_lo, f_hi = payload[j] if resp[i] else payload[i]
+            if mass(f_lo, f_hi) > 0:
+                p = 1 / (n_t * mass(f_lo, f_hi))
+        elif not any(resp[x] for x in neighbors[i] & neighbors[j]):
+            m_i, m_j = mass(lo_i, hi_i), mass(lo_j, hi_j)
+            if m_i > 0 and m_j > 0:
+                p = mass(lo_ij, hi_ij) / (n_t * m_i * m_j)
+        prob[i, j] = min(1.0, p)
+    return candidate, prob

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from netrecon import DetectorConfig, Graph, detect, modularity
+from netrecon import (DetectorConfig, Graph, LfrParams, detect,
+                      generate_lfr_like, modularity)
+from netrecon.communities import _greedy_modularity
 
 from oracles import modularity_reference, set_partitions
 
@@ -108,6 +110,24 @@ def test_detect_ring_of_cliques():
     for c in range(4):
         assert len(set(labels[6 * c:6 * c + 6])) == 1
     assert len(set(labels)) == 4
+
+
+def test_labels_score_the_top_level_modularity():
+    """The returned labels are the top aggregated level mapped down to the
+    vertices, so they score exactly that level's singleton modularity."""
+    for seed in range(3):
+        g, _ = generate_lfr_like(LfrParams(n=300, k_avg=8, k_max=30, mu=0.3,
+                                           tau1=2.5, tau2=1, c_min=10,
+                                           c_max=40, seed=seed))
+        cfg = DetectorConfig(seed=seed)
+        _, adj, loops = _greedy_modularity(g, cfg)
+        # a super-vertex's strength counts its internal edges twice
+        strength = [sum(a.values()) + 2 * w for a, w in zip(adj, loops)]
+        m = sum(strength) / 2
+        top = sum(w / m - (s / (2 * m)) ** 2 for s, w in zip(strength, loops))
+        labels = detect(g, cfg)
+        assert modularity_reference(g.n, g.edges().tolist(), labels) == \
+            pytest.approx(top, abs=1e-12)
 
 
 def test_detect_rejects_unknown_method():

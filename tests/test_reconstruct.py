@@ -1,9 +1,11 @@
 """Coalescing: pair probabilities, merge mechanics, full reconstruction."""
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from netrecon import (
     FRIEND,
@@ -27,7 +29,7 @@ from netrecon import (
 )
 from netrecon.sampling import SampleForest
 
-from oracles import groups_of, replay_merges
+from oracles import coalescing_reference, groups_of, replay_merges
 
 UNIFORM50 = uniform_distribution(50)
 EXACT50 = CategoryDistribution(50, np.array([Fraction(1, 50)] * 50, dtype=object))
@@ -124,6 +126,16 @@ def test_zero_support_description():
 def test_state_rejects_mismatched_distribution():
     with pytest.raises(ValueError):
         ReconState(hand_forest(), uniform_distribution(20), n_t=10)
+
+
+def test_state_rejects_a_friend_naming_anyone():
+    # the matrix update after a merge relies on friends being leaves
+    # named by respondents
+    forest = SampleForest(tree=[0, 0, 0], parent=[-1, 0, 1],
+                          kind=[RESPONDENT, FRIEND, FRIEND],
+                          lo=[5, 4, 5], hi=[5, 6, 7], g=50)
+    with pytest.raises(ValueError, match="named by a respondent"):
+        ReconState(forest, UNIFORM50, n_t=2)
 
 
 def test_merge_respondent_absorbs_friend():
@@ -267,3 +279,126 @@ def test_reconstruct_stalls_when_target_unreachable(sampled):
     # whatever was coalesced is still perfectly clean
     if partial.log:
         assert coalescing_precision(partial.log, forest.truth) == 1.0
+
+
+def law_forest():
+    """Three chained respondents naming two friends each, with intervals
+    wide enough that most pairs are candidates with p below one.
+
+      occ 0  respondent, category 4      occ 1, 2  its friends [3,6], [5,8]
+      occ 3  respondent, category 6      occ 4, 5  its friends [2,5], [4,7]
+      occ 6  respondent, category 5      occ 7, 8  its friends [1,4], [6,9]
+    """
+    return SampleForest(
+        tree=[0] * 9,
+        parent=[-1, 0, 0, 0, 3, 3, 3, 6, 6],
+        kind=[RESPONDENT, FRIEND, FRIEND] * 3,
+        lo=[4, 3, 5, 6, 2, 4, 5, 1, 6],
+        hi=[4, 6, 8, 6, 5, 7, 5, 4, 9],
+        g=10,
+    )
+
+
+SKEWED10 = CategoryDistribution(10, np.array(
+    [0.05, 0.08, 0.1, 0.12, 0.15, 0.15, 0.12, 0.1, 0.08, 0.05]))
+
+
+def reference_for(forest, groups, dist, n_t):
+    return coalescing_reference((forest.kind == RESPONDENT).tolist(),
+                                forest.lo.tolist(), forest.hi.tolist(),
+                                forest.parent.tolist(), groups,
+                                dist.p.tolist(), n_t)
+
+
+def test_first_merge_and_attempts_follow_the_rejection_law():
+    """The first merge falls on a pair with probability p / sum p, and
+    takes Geometric(sum p / |candidates|) draws, as drawing candidates
+    uniformly and accepting with probability p would."""
+    forest = law_forest()
+    n_t = forest.size - 1  # exactly one merge
+    cand, prob = reference_for(forest, [[i] for i in range(forest.size)],
+                               SKEWED10, n_t)
+    total = sum(prob.values())
+    q = total / sum(cand.values())
+    assert 0.05 < q < 0.5 and max(prob.values()) < 1
+    runs = 2000
+    merged, attempts = Counter(), Counter()
+    for seed in range(runs):
+        res = reconstruct(forest, SKEWED10, n_t, seed=seed)
+        (ev,) = res.log
+        merged[ev.members_a + ev.members_b] += 1
+        attempts[min(res.attempts, 16)] += 1
+    pos = sorted(k for k, p in prob.items() if p > 0)
+    assert set(merged) <= set(pos)
+    assert chisquare([merged[k] for k in pos],
+                     [runs * prob[k] / total for k in pos]).pvalue > 1e-3
+    pmf = [(1 - q) ** (k - 1) * q for k in range(1, 16)]
+    expected = [runs * x for x in pmf + [1 - sum(pmf)]]
+    assert chisquare([attempts[k] for k in range(1, 17)], expected).pvalue > 1e-3
+
+
+def test_matrices_track_every_merge(sampled):
+    g = sampled
+    dist = uniform_distribution(5)
+    attrs = assign_attributes(g.n, dist, seed=22)
+    paths = sample_paths(g, 12, "rpm", seed=23)
+    forest = elicit_friends(g, attrs, paths, 3, 2, seed=24).without_truth()
+    n_t = forest.n_r + 3
+    # validate=True recomputes W and C from scratch after every merge
+    res = reconstruct(forest, dist, n_t, seed=25, validate=True)
+    assert len(res.log) == forest.size - n_t
+    # stepped by hand, each matrix entry against the oracle
+    state = ReconState(forest, dist, n_t)
+    rng = np.random.default_rng(26)
+    while True:
+        alive = np.flatnonzero(state.alive)
+        cand, prob = reference_for(forest, [state.members[i] for i in alive],
+                                   dist, n_t)
+        for (x, y), p in prob.items():
+            a, b = alive[x], alive[y]
+            assert state.C[a, b] == state.C[b, a] == cand[x, y]
+            assert state.W[a, b] == state.W[b, a] == pytest.approx(p, rel=1e-12)
+        positive = [k for k, p in prob.items() if p > 0]
+        if state.n_alive == n_t or not positive:
+            break
+        x, y = positive[rng.integers(len(positive))]
+        state.merge(int(alive[x]), int(alive[y]))
+        state.check_invariants(forest)
+    assert state.n_alive == n_t
+    a, b = positive[0] if positive else (0, 1)
+    state.W[alive[a], alive[b]] += 0.125
+    with pytest.raises(AssertionError):
+        state.check_invariants(forest)
+
+
+def test_dead_end_stalls_at_once():
+    """One respondent and two friends it named: every candidate pair is
+    forbidden (adjacent, or two friends of one respondent), so the run
+    stops before a single draw."""
+    forest = SampleForest(tree=[0, 0, 0], parent=[-1, 0, 0],
+                          kind=[RESPONDENT, FRIEND, FRIEND],
+                          lo=[5, 4, 5], hi=[5, 6, 7], g=10)
+    assert ReconState(forest, SKEWED10, 2).n_pairs == 3
+    with pytest.raises(ReconstructionStalled,
+                       match=r"^no candidate pair has positive merge "
+                             r"probability at size 3 \(target 2\)$") as info:
+        reconstruct(forest, SKEWED10, 2, seed=0)
+    assert info.value.partial.attempts == 0
+    assert info.value.partial.graph.n == 3
+
+
+def test_budget_stall_reports_the_budget():
+    forest = law_forest()
+    outcomes = set()
+    for seed in range(40):
+        try:
+            res = reconstruct(forest, SKEWED10, forest.size - 1, seed=seed,
+                              max_attempts=1)
+            outcomes.add("merged")
+        except ReconstructionStalled as exc:
+            assert str(exc).startswith("attempt budget 1 exhausted at size 9")
+            res = exc.partial
+            assert not res.log
+            outcomes.add("stalled")
+        assert res.attempts == 1
+    assert outcomes == {"merged", "stalled"}
