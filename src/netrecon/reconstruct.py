@@ -187,14 +187,18 @@ class ReconState:
         return np.where(self._resp[i], 1.0,
                         np.maximum(cum[self.hi[i]] - cum[self.lo[i] - 1], 0.0))
 
-    def _candidates(self, i: int) -> np.ndarray:
-        """Group i's row of ``C``: the alive groups other than i whose
-        payload overlaps i's, only friends for a respondent."""
-        cand = (self.lo <= int(self.hi[i])) & (self.hi >= int(self.lo[i])) & self.alive
+    def _candidates(self, i: int, among: np.ndarray | None = None) -> np.ndarray:
+        """Ids of group i's candidates, out of ``among`` (default: all
+        groups): the alive groups other than i whose payload overlaps
+        i's, only friends for a respondent."""
+        lo, hi, alive, resp = self.lo, self.hi, self.alive, self._resp
+        if among is not None:
+            lo, hi, alive, resp = lo[among], hi[among], alive[among], resp[among]
+        keep = (lo <= int(self.hi[i])) & (hi >= int(self.lo[i])) & alive
         if self._resp[i]:
-            cand &= ~self._resp
-        cand[i] = False
-        return cand
+            keep &= ~resp
+        ids = keep.nonzero()[0] if among is None else among[keep]
+        return ids[ids != i]
 
     def _weights(self, i, j) -> np.ndarray:
         """Merge probabilities of the candidate pairs (i, j) before the
@@ -224,8 +228,8 @@ class ReconState:
             rows = alive[start:start + _BLOCK]
             cols = []
             for r in rows:
-                cand[r] = self._candidates(r)
-                cols.append(cand[r].nonzero()[0])
+                cols.append(self._candidates(r))
+                cand[r][cols[-1]] = True
             i = np.repeat(rows, [c.size for c in cols])
             j = np.concatenate(cols)
             w[i, j] = self._weights(i, j)
@@ -277,9 +281,9 @@ class ReconState:
     def _refresh(self, s: int, o: int) -> None:
         """Recompute the row and column of s and clear those of o, writing
         only at the candidates of each row, the same entries as its
-        column's by symmetry."""
-        cand = self._candidates(s)
-        idx = cand.nonzero()[0]
+        column's by symmetry.  The payload of s can only have narrowed,
+        so its candidates are among its old ones."""
+        idx = self._candidates(s, self.C[s].nonzero()[0])
         row = np.zeros(self.kind.size)
         row[idx] = self._weights(s, idx)
         row[self._forbidden(s)] = 0.0
