@@ -12,9 +12,10 @@ results through plain files in the output directory:
     metrics      -> precision.csv, community.csv, rank.csv
     epidemic     -> epidemic.csv
 
-Stage commands derive their seeds exactly as the pipeline does
-(repetition 0), so chaining them reproduces the corresponding rows of a
-full ``run``.
+Each stage command reads its input files, calls the same stage function
+of :mod:`netrecon.pipeline` that ``run`` calls (at repetition 0), and
+writes the result, so chaining them reproduces the corresponding rows
+of a full ``run``.
 """
 
 from __future__ import annotations
@@ -28,20 +29,16 @@ from dataclasses import replace
 import numpy as np
 
 from .attributes import AttributeMap
-from .communities import DetectorConfig, detect, modularity
+from .communities import modularity
 from .config import ExperimentConfig, load_config
-from .generate import LfrParams, generate_lfr_like, realized_mixing
+from .generate import generate_lfr_like, realized_mixing
 from .graph import Graph, load_edge_list, read_partition, write_edge_list, write_partition
-from .metrics import (aggregate_by_projection, coalescing_precision,
-                      community_precision, nmi, project, spearman,
-                      vertex_properties)
-from .pipeline import (EPIDEMIC_HEADER, METRIC_HEADER, _attributes,
-                       _distribution, _fmt, _param_cells,
-                       epidemic_rows_for_point, run_pipeline, _write_csv)
-from .reconstruct import MergeEvent, ReconstructionStalled, reconstruct
-from .sampling import (elicit_friends, read_forest, read_truth, sample_paths,
-                       true_network, write_forest, write_truth)
-from .seeding import derive_seed
+from .pipeline import (EPIDEMIC_HEADER, METRIC_HEADER, STAGES, _attributes,
+                       _communities, _distribution, _lfr_params,
+                       _reconstruct, _sample, _score, _write_csv,
+                       epidemic_rows_for_point, run_pipeline)
+from .reconstruct import MergeEvent, ReconResult
+from .sampling import read_forest, read_truth, write_forest, write_truth
 
 __all__ = ["main"]
 
@@ -69,11 +66,10 @@ def _out_path(cfg: ExperimentConfig, name: str) -> str:
     return os.path.join(cfg.out, name)
 
 
-def _sample_sizes(cfg: ExperimentConfig, point, n: int):
-    if cfg.n_t_rule == "fraction-of-n":
-        n_t = max(1, round(point.n_t_frac * n))
-        return max(1, round(n_t / 2)), n_t
-    return max(1, round(cfg.n_r_frac * n)), None
+def _warn(errors: list[list[str]]) -> None:
+    """Print the (stage, message) of each pipeline error row."""
+    for err in errors:
+        print(f"warning: {err[-2]}: {err[-1]}", file=sys.stderr)
 
 
 def cmd_run(cfg: ExperimentConfig, args) -> int:
@@ -86,11 +82,7 @@ def cmd_run(cfg: ExperimentConfig, args) -> int:
 def cmd_generate(cfg: ExperimentConfig, args) -> int:
     point = _single_point(cfg)
     if cfg.network == "lfr":
-        params = LfrParams(n=cfg.n, k_avg=cfg.k_avg, k_max=cfg.k_max,
-                           mu=point.mu, tau1=cfg.tau1, tau2=cfg.tau2,
-                           c_min=cfg.c_min, c_max=cfg.c_max,
-                           seed=derive_seed(cfg.seed, "generate", repr(point.mu), 0))
-        graph, planted = generate_lfr_like(params)
+        graph, planted = generate_lfr_like(_lfr_params(cfg, point, 0))
         write_partition(planted, _out_path(cfg, "planted.txt"))
         print(f"n={graph.n} m={graph.m} "
               f"mixing={realized_mixing(graph, planted):.4f}")
@@ -106,39 +98,32 @@ def cmd_generate(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
+def _load_network(cfg: ExperimentConfig) -> Graph:
+    return load_edge_list(os.path.join(cfg.out, "network.edges"))
+
+
 def cmd_sample(cfg: ExperimentConfig, args) -> int:
     point = _single_point(cfg)
-    graph = load_edge_list(os.path.join(cfg.out, "network.edges"))
+    graph = _load_network(cfg)
     attrs = AttributeMap.read(os.path.join(cfg.out, "attributes.txt"), g=point.g)
     if attrs.values.size != graph.n:
         raise ValueError(
             f"attributes cover {attrs.values.size} vertices but the edge list "
             f"has {graph.n}; the edge-list format cannot represent isolated "
             "vertices")
-    n_r, _ = _sample_sizes(cfg, point, graph.n)
-    paths = sample_paths(graph, n_r, point.method,
-                         derive_seed(cfg.seed, "paths", point.method, 0))
-    forest = elicit_friends(graph, attrs, paths, point.f, point.c,
-                            derive_seed(cfg.seed, "friends", point.method,
-                                        point.f, 0))
+    forest = _sample(cfg, point, 0, graph, attrs)
     write_forest(forest, _out_path(cfg, "forest.txt"))
     write_truth(forest, _out_path(cfg, "truth.txt"))
-    print(f"paths={len(paths)} respondents={forest.n_r} "
+    print(f"paths={int(forest.tree.max()) + 1} respondents={forest.n_r} "
           f"friends={forest.n_f} true_size={forest.n_t}")
     return 0
 
 
-def _read_merges(path) -> list[MergeEvent]:
-    events = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        for row in reader:
-            events.append(MergeEvent(
-                tuple(int(t) for t in row[1].split()),
-                tuple(int(t) for t in row[2].split()),
-                float(row[3])))
-    return events
+def _load_forest(cfg: ExperimentConfig, point):
+    """forest.txt with the truth of truth.txt attached."""
+    forest = read_forest(os.path.join(cfg.out, "forest.txt"), g=point.g)
+    truth = read_truth(os.path.join(cfg.out, "truth.txt"), n_occ=forest.size)
+    return replace(forest, truth=truth)
 
 
 def _write_merges(log: list[MergeEvent], path) -> None:
@@ -150,25 +135,23 @@ def _write_merges(log: list[MergeEvent], path) -> None:
                         " ".join(map(str, ev.members_b)), repr(ev.probability)])
 
 
+def _read_merges(path) -> list[MergeEvent]:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)  # header
+        return [MergeEvent(tuple(int(t) for t in row[1].split()),
+                           tuple(int(t) for t in row[2].split()),
+                           float(row[3]))
+                for row in reader]
+
+
 def cmd_reconstruct(cfg: ExperimentConfig, args) -> int:
     point = _single_point(cfg)
-    forest = read_forest(os.path.join(cfg.out, "forest.txt"), g=point.g)
-    dist = _distribution(cfg, point.g)
-    if cfg.n_t_rule == "fraction-of-n":
-        graph = load_edge_list(os.path.join(cfg.out, "network.edges"))
-        n_t = min(max(1, round(point.n_t_frac * graph.n)), forest.size)
-    else:
-        # the known target size; reading the truth table here is the
-        # driver's bookkeeping — the reconstruction itself never sees it
-        truth = read_truth(os.path.join(cfg.out, "truth.txt"), n_occ=forest.size)
-        n_t = int(np.unique(truth).size)
-    n_t = max(n_t, forest.n_r)
-    try:
-        result = reconstruct(forest, dist, n_t,
-                             derive_seed(cfg.seed, "reconstruct", point.key(), 0))
-    except ReconstructionStalled as exc:
-        print(f"warning: {exc}", file=sys.stderr)
-        result = exc.partial
+    forest = _load_forest(cfg, point)
+    errors: list[list[str]] = []
+    result = _reconstruct(cfg, point, 0, _load_network(cfg).n, forest,
+                          _distribution(cfg, point.g), errors)
+    _warn(errors)
     write_edge_list(result.graph, _out_path(cfg, "recon.edges"))
     write_partition(result.provenance, _out_path(cfg, "provenance.txt"))
     _write_merges(result.log, _out_path(cfg, "merges.csv"))
@@ -177,11 +160,13 @@ def cmd_reconstruct(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
-def _load_recon(cfg: ExperimentConfig):
-    """Rebuild the reconstructed graph from recon.edges + provenance.txt.
+def _load_recon(cfg: ExperimentConfig) -> ReconResult:
+    """Rebuild the reconstruction from recon.edges, provenance.txt and
+    merges.csv.
 
     The provenance table names every vertex, so vertices isolated in the
-    edge file (which cannot represent them) are restored here.
+    edge file (which cannot represent them) are restored here.  The
+    files do not keep the attempt count, which reads 0.
     """
     provenance = read_partition(os.path.join(cfg.out, "provenance.txt"))
     n = int(provenance.max()) + 1
@@ -195,23 +180,20 @@ def _load_recon(cfg: ExperimentConfig):
                                  loaded.labels[dense[:, 1]]])
     else:
         edges = np.zeros((0, 2), dtype=np.int64)
-    return Graph.from_edges(n, edges), provenance
+    log = _read_merges(os.path.join(cfg.out, "merges.csv"))
+    return ReconResult(Graph.from_edges(n, edges), provenance, log, attempts=0)
 
 
 def cmd_communities(cfg: ExperimentConfig, args) -> int:
     point = _single_point(cfg)
-    graph = load_edge_list(os.path.join(cfg.out, "network.edges"))
-    labels = detect(graph, DetectorConfig(
-        seed=derive_seed(cfg.seed, "communities", "underlying",
-                         _fmt(point.mu), 0)))
+    graph = _load_network(cfg)
+    labels = _communities(cfg, point, 0, graph, "underlying")
     write_partition(labels, _out_path(cfg, "communities_network.txt"))
     print(f"network: {labels.max() + 1} communities, "
           f"modularity={modularity(graph, labels):.4f}")
-    recon_path = os.path.join(cfg.out, "recon.edges")
-    if os.path.exists(recon_path):
-        rgraph, _ = _load_recon(cfg)
-        rlabels = detect(rgraph, DetectorConfig(
-            seed=derive_seed(cfg.seed, "communities", "recon", point.key(), 0)))
+    if os.path.exists(os.path.join(cfg.out, "recon.edges")):
+        rgraph = _load_recon(cfg).graph
+        rlabels = _communities(cfg, point, 0, rgraph, "recon")
         write_partition(rlabels, _out_path(cfg, "communities_recon.txt"))
         print(f"reconstruction: {rlabels.max() + 1} communities, "
               f"modularity={modularity(rgraph, rlabels):.4f}")
@@ -221,58 +203,13 @@ def cmd_communities(cfg: ExperimentConfig, args) -> int:
 def cmd_metrics(cfg: ExperimentConfig, args) -> int:
     """Score the artifacts in the output directory (single point, rep 0)."""
     point = _single_point(cfg)
-    cells = _param_cells(cfg, point, 0)
-    forest = read_forest(os.path.join(cfg.out, "forest.txt"), g=point.g)
-    truth = read_truth(os.path.join(cfg.out, "truth.txt"), n_occ=forest.size)
-    forest = replace(forest, truth=truth)
-    log = _read_merges(os.path.join(cfg.out, "merges.csv"))
-    rgraph, provenance = _load_recon(cfg)
-    graph = load_edge_list(os.path.join(cfg.out, "network.edges"))
-
-    rows_prec, rows_comm, rows_rank, errors = [], [], [], []
-
-    def metric_row(metric, value):
-        return cells + [metric, _fmt(float(value)), "1"]
-
-    try:
-        rows_prec.append(metric_row("coalescing_precision",
-                                    coalescing_precision(log, forest.truth)))
-    except Exception as exc:
-        errors.append(["precision", str(exc)])
-    try:
-        tnet, _ = true_network(forest)
-        proj = project(provenance, forest)
-        recon_labels = detect(rgraph, DetectorConfig(
-            seed=derive_seed(cfg.seed, "communities", "recon", point.key(), 0)))
-        tnet_labels = detect(tnet, DetectorConfig(
-            seed=derive_seed(cfg.seed, "communities", "true", point.key(), 0)))
-        proj_dense = np.searchsorted(tnet.labels, proj)
-        rows_comm.append(metric_row(
-            "community_precision",
-            community_precision(recon_labels, tnet_labels, proj_dense)))
-        rows_comm.append(metric_row("nmi", nmi(recon_labels, tnet_labels[proj_dense])))
-        under_labels = detect(graph, DetectorConfig(
-            seed=derive_seed(cfg.seed, "communities", "underlying",
-                             _fmt(point.mu), 0)))
-        u_deg, u_kout, u_emb = vertex_properties(graph, under_labels)
-        r_deg, r_kout, r_emb = vertex_properties(rgraph, recon_labels)
-        for name, uvals, rvals in (("degree", u_deg, r_deg),
-                                   ("k_out", u_kout, r_kout),
-                                   ("embeddedness", u_emb, r_emb)):
-            try:
-                ids, means = aggregate_by_projection(rvals, proj)
-                rows_rank.append(metric_row(
-                    f"spearman_{name}", spearman(uvals[ids], means)))
-            except Exception as exc:
-                errors.append([f"rank:{name}", str(exc)])
-    except Exception as exc:
-        errors.append(["community", str(exc)])
-
+    rows_prec, rows_comm, rows_rank, errors = _score(
+        cfg, point, 0, _load_network(cfg), _load_forest(cfg, point),
+        _load_recon(cfg))
     _write_csv(_out_path(cfg, "precision.csv"), METRIC_HEADER, rows_prec)
     _write_csv(_out_path(cfg, "community.csv"), METRIC_HEADER, rows_comm)
     _write_csv(_out_path(cfg, "rank.csv"), METRIC_HEADER, rows_rank)
-    for stage, msg in errors:
-        print(f"warning: {stage}: {msg}", file=sys.stderr)
+    _warn(errors)
     print(f"wrote {len(rows_prec) + len(rows_comm) + len(rows_rank)} metric rows")
     return 0
 
@@ -281,8 +218,7 @@ def cmd_epidemic(cfg: ExperimentConfig, args) -> int:
     point = _single_point(cfg)
     rows, errors = epidemic_rows_for_point(cfg, point.method, point.n_t_frac)
     _write_csv(_out_path(cfg, "epidemic.csv"), EPIDEMIC_HEADER, rows)
-    for err in errors:
-        print(f"warning: {err[-2]}: {err[-1]}", file=sys.stderr)
+    _warn(errors)
     print(f"wrote {len(rows)} epidemic rows")
     return 0
 
@@ -312,8 +248,7 @@ def main(argv=None) -> int:
         if name == "run":
             p.add_argument("--jobs", type=int, default=1,
                            help="parallel worker processes")
-            p.add_argument("--stage", default="all",
-                           choices=["all", "metrics", "epidemic"],
+            p.add_argument("--stage", default="all", choices=STAGES,
                            help="restrict which tables are computed")
     args = parser.parse_args(argv)
     try:

@@ -9,8 +9,11 @@ Everything else is a scalar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from itertools import product
+
+from .epidemic import DEFAULT_STRATEGIES, PROPERTIES, STRATEGY_KINDS
+from .sampling import METHODS
 
 __all__ = ["ExperimentConfig", "SweepPoint", "parse_config"]
 
@@ -60,7 +63,7 @@ class ExperimentConfig:
     assort_attempts_per_vertex: int = 100
 
     # sampling
-    method: tuple = ("rpm",)
+    method: tuple = METHODS[:1]
     n_r_frac: float = 0.08
     f: tuple = (5,)
     c: tuple = (1,)
@@ -76,8 +79,7 @@ class ExperimentConfig:
     # epidemics
     epidemic: bool = False
     budgets: tuple = (0.05,)
-    strategies: tuple = ("underlying-top:degree", "reconstructed-top:degree",
-                         "reconstructed-frequency-random", "random-whole")
+    strategies: tuple = DEFAULT_STRATEGIES
     sir_runs: int = 200
     sir_init_frac: float = 0.002
     sir_beta: float = 0.08
@@ -104,7 +106,7 @@ class ExperimentConfig:
         if not self.g:
             raise ValueError("need at least one g value")
         for m in self.method:
-            if m not in ("rpm", "hpm"):
+            if m not in METHODS:
                 raise ValueError(f"unknown sampling method {m!r}")
         if self.n_t_rule not in ("true-network-size", "fraction-of-n"):
             raise ValueError(f"unknown n_t rule {self.n_t_rule!r}")
@@ -135,11 +137,9 @@ def parse_strategy(token: str):
     kind, _, prop = token.partition(":")
     kind = kind.strip()
     prop = prop.strip() or "degree"
-    valid_kinds = ("underlying-top", "reconstructed-top", "random-whole",
-                   "reconstructed-frequency-random")
-    if kind not in valid_kinds:
+    if kind not in STRATEGY_KINDS:
         raise ValueError(f"unknown strategy {kind!r}")
-    if prop not in ("degree", "k_out", "embeddedness-low"):
+    if prop not in PROPERTIES:
         raise ValueError(f"unknown strategy property {prop!r}")
     return kind, prop
 

@@ -42,6 +42,10 @@ STRATEGY_KINDS = (
 
 PROPERTIES = ("degree", "k_out", "embeddedness-low")
 
+# the config's default ``strategies``: kind or kind:property tokens
+DEFAULT_STRATEGIES = ("underlying-top:degree", "reconstructed-top:degree",
+                      "reconstructed-frequency-random", "random-whole")
+
 
 @dataclass(frozen=True)
 class SirParams:

@@ -8,8 +8,7 @@ construction; anything that "modifies" a graph builds a new one.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -19,6 +18,7 @@ __all__ = [
     "write_edge_list",
     "read_partition",
     "write_partition",
+    "open_text",
 ]
 
 
@@ -161,6 +161,17 @@ class Graph:
 # -- edge list files -----------------------------------------------------
 
 
+@contextmanager
+def open_text(target, mode: str = "r"):
+    """Yield a text stream for ``target``: a path is opened (and closed on
+    exit) as UTF-8, an open stream is passed through and left open."""
+    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
+        with open(target, mode, encoding="utf-8") as fh:
+            yield fh
+    else:
+        yield target
+
+
 def load_edge_list(source) -> Graph:
     """Read a whitespace-separated edge list into a :class:`Graph`.
 
@@ -177,15 +188,9 @@ def load_edge_list(source) -> Graph:
         On a malformed line (message includes the line number) or if
         the input contains no edges.
     """
-    close = False
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        fh = open(source, "r", encoding="utf-8")
-        close = True
-    else:
-        fh = source
-    try:
-        raw_u: list[int] = []
-        raw_v: list[int] = []
+    raw_u: list[int] = []
+    raw_v: list[int] = []
+    with open_text(source) as fh:
         for lineno, line in enumerate(fh, start=1):
             s = line.strip()
             if not s or s.startswith("#"):
@@ -200,9 +205,6 @@ def load_edge_list(source) -> Graph:
                 raise ValueError(f"line {lineno}: non-integer vertex label") from None
             raw_u.append(a)
             raw_v.append(b)
-    finally:
-        if close:
-            fh.close()
 
     if not raw_u:
         raise ValueError("edge list is empty")
@@ -220,18 +222,9 @@ def write_edge_list(g: Graph, target) -> None:
     one edge reproduces it exactly.  Isolated vertices have no
     representation in this format.
     """
-    close = False
-    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-        fh = open(target, "w", encoding="utf-8")
-        close = True
-    else:
-        fh = target
-    try:
+    with open_text(target, "w") as fh:
         for u, v in g.edges():
             fh.write(f"{u} {v}\n")
-    finally:
-        if close:
-            fh.close()
 
 
 # -- vertex-indexed integer columns (partitions, categories) -------------
@@ -239,30 +232,15 @@ def write_edge_list(g: Graph, target) -> None:
 
 def write_partition(values: np.ndarray, target) -> None:
     """Write one ``vertex value`` pair per line for a dense int column."""
-    close = False
-    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-        fh = open(target, "w", encoding="utf-8")
-        close = True
-    else:
-        fh = target
-    try:
+    with open_text(target, "w") as fh:
         for v, c in enumerate(np.asarray(values)):
             fh.write(f"{v} {int(c)}\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def read_partition(source, n: int | None = None) -> np.ndarray:
     """Read a ``vertex value`` file written by :func:`write_partition`."""
-    close = False
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        fh = open(source, "r", encoding="utf-8")
-        close = True
-    else:
-        fh = source
-    try:
-        pairs = {}
+    pairs = {}
+    with open_text(source) as fh:
         for lineno, line in enumerate(fh, start=1):
             s = line.strip()
             if not s or s.startswith("#"):
@@ -271,9 +249,6 @@ def read_partition(source, n: int | None = None) -> np.ndarray:
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected 'vertex value'")
             pairs[int(parts[0])] = int(parts[1])
-    finally:
-        if close:
-            fh.close()
     if not pairs:
         raise ValueError("partition file is empty")
     size = n if n is not None else max(pairs) + 1

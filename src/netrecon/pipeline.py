@@ -23,7 +23,6 @@ import csv
 import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -81,14 +80,17 @@ def _load_edgelist(path: str) -> Graph:
     return load_edge_list(path)
 
 
+def _lfr_params(cfg: ExperimentConfig, point: SweepPoint, rep) -> LfrParams:
+    return LfrParams(n=cfg.n, k_avg=cfg.k_avg, k_max=cfg.k_max, mu=point.mu,
+                     tau1=cfg.tau1, tau2=cfg.tau2, c_min=cfg.c_min,
+                     c_max=cfg.c_max,
+                     seed=derive_seed(cfg.seed, "generate", repr(point.mu), rep))
+
+
 def _network(cfg: ExperimentConfig, point: SweepPoint, rep) -> Graph:
     if cfg.network == "edgelist":
         return _load_edgelist(cfg.edgelist_path)
-    params = LfrParams(n=cfg.n, k_avg=cfg.k_avg, k_max=cfg.k_max, mu=point.mu,
-                       tau1=cfg.tau1, tau2=cfg.tau2, c_min=cfg.c_min,
-                       c_max=cfg.c_max,
-                       seed=derive_seed(cfg.seed, "generate", repr(point.mu), rep))
-    graph, _ = generate_lfr_like(params)
+    graph, _ = generate_lfr_like(_lfr_params(cfg, point, rep))
     return graph
 
 
@@ -111,42 +113,69 @@ def _attributes(cfg: ExperimentConfig, point: SweepPoint, rep,
     return attrs, dist
 
 
-def _sample_and_reconstruct(cfg: ExperimentConfig, point: SweepPoint, rep,
-                            graph: Graph, attrs: AttributeMap,
-                            dist: CategoryDistribution,
-                            errors: list | None, cells: list[str]):
-    """Shared sampling + reconstruction step; returns (forest, result).
+def _communities(cfg: ExperimentConfig, point: SweepPoint, rep, graph: Graph,
+                 which: str) -> np.ndarray:
+    """Detect communities of the "underlying", "recon" or "true" network.
 
-    A stalled reconstruction is recorded as an error (when ``errors`` is
-    given) and its partial result is used — what was coalesced so far is
-    still a network.
+    The underlying network depends only on mu and the repetition, so its
+    detector seed does too; the other two are seeded per sweep point.
     """
-    n = graph.n
+    token = _fmt(point.mu) if which == "underlying" else point.key()
+    return detect(graph, DetectorConfig(
+        seed=derive_seed(cfg.seed, "communities", which, token, rep)))
+
+
+def _sizes(cfg: ExperimentConfig, point: SweepPoint, n: int):
+    """The respondent count n_r and, under fraction-of-n, the target n_t."""
     if cfg.n_t_rule == "fraction-of-n":
-        n_t_target = max(1, round(point.n_t_frac * n))
-        n_r = max(1, round(n_t_target / 2))
-    else:
-        n_t_target = None
-        n_r = max(1, round(cfg.n_r_frac * n))
+        n_t = max(1, round(point.n_t_frac * n))
+        return max(1, round(n_t / 2)), n_t
+    return max(1, round(cfg.n_r_frac * n)), None
+
+
+def _sample(cfg: ExperimentConfig, point: SweepPoint, rep, graph: Graph,
+            attrs: AttributeMap) -> SampleForest:
+    """Walk the paths and elicit the friends; the forest carries its truth."""
+    n_r, _ = _sizes(cfg, point, graph.n)
     paths = sample_paths(graph, n_r, point.method,
                          derive_seed(cfg.seed, "paths", point.method, rep))
-    forest = elicit_friends(graph, attrs, paths, point.f, point.c,
-                            derive_seed(cfg.seed, "friends", point.method,
-                                        point.f, rep))
+    return elicit_friends(graph, attrs, paths, point.f, point.c,
+                          derive_seed(cfg.seed, "friends", point.method,
+                                      point.f, rep))
+
+
+def _reconstruct(cfg: ExperimentConfig, point: SweepPoint, rep, n: int,
+                 forest: SampleForest, dist: CategoryDistribution,
+                 errors: list) -> ReconResult:
+    """Coalesce ``forest`` (sampled from a network of ``n`` vertices).
+
+    The target size is the true network size, read off the forest's
+    truth, or the fraction-of-n target capped at the forest size; it
+    never drops below the respondent count.  The reconstruction itself
+    only sees the forest without its truth.  A stalled reconstruction is
+    recorded in ``errors`` and its partial result is returned — what was
+    coalesced so far is still a network.
+    """
+    _, n_t_target = _sizes(cfg, point, n)
     n_t = forest.n_t if n_t_target is None else min(n_t_target, forest.size)
     n_t = max(n_t, forest.n_r)
     try:
-        result = reconstruct(forest.without_truth(), dist, n_t,
-                             derive_seed(cfg.seed, "reconstruct", point.key(), rep))
+        return reconstruct(forest.without_truth(), dist, n_t,
+                           derive_seed(cfg.seed, "reconstruct", point.key(), rep))
     except ReconstructionStalled as exc:
-        if errors is not None:
-            errors.append(cells + ["reconstruct", str(exc)])
-        result = exc.partial
-    return forest, result
+        errors.append(_param_cells(cfg, point, rep) + ["reconstruct", str(exc)])
+        return exc.partial
 
 
-def metric_rows_for_point(cfg: ExperimentConfig, point: SweepPoint, rep: int):
-    """Compute one repetition's precision/community/rank rows."""
+def _score(cfg: ExperimentConfig, point: SweepPoint, rep, graph: Graph,
+           forest: SampleForest, result: ReconResult):
+    """Precision, community and rank rows of one reconstruction.
+
+    ``graph`` is the underlying network and ``forest`` carries its truth.
+    Returns (precision, community, rank, error) rows.  A metric that
+    fails is recorded as an error row; the rank rows need the community
+    labels, so a community failure skips them.
+    """
     rows_prec: list[list[str]] = []
     rows_comm: list[list[str]] = []
     rows_rank: list[list[str]] = []
@@ -157,15 +186,6 @@ def metric_rows_for_point(cfg: ExperimentConfig, point: SweepPoint, rep: int):
         return cells + [metric, _fmt(float(value)), "1"]
 
     try:
-        graph = _network(cfg, point, rep)
-        attrs, dist = _attributes(cfg, point, rep, graph)
-        forest, result = _sample_and_reconstruct(
-            cfg, point, rep, graph, attrs, dist, errors, cells)
-    except Exception as exc:  # config-level/feasibility failures
-        errors.append(cells + ["setup", str(exc)])
-        return rows_prec, rows_comm, rows_rank, errors
-
-    try:
         rows_prec.append(metric_row("coalescing_precision",
                                     coalescing_precision(result.log, forest.truth)))
     except Exception as exc:
@@ -174,10 +194,8 @@ def metric_rows_for_point(cfg: ExperimentConfig, point: SweepPoint, rep: int):
     try:
         tnet, _ = true_network(forest)
         proj = project(result.provenance, forest)
-        recon_labels = detect(result.graph, DetectorConfig(
-            seed=derive_seed(cfg.seed, "communities", "recon", point.key(), rep)))
-        tnet_labels = detect(tnet, DetectorConfig(
-            seed=derive_seed(cfg.seed, "communities", "true", point.key(), rep)))
+        recon_labels = _communities(cfg, point, rep, result.graph, "recon")
+        tnet_labels = _communities(cfg, point, rep, tnet, "true")
         proj_dense = np.searchsorted(tnet.labels, proj)
         rows_comm.append(metric_row(
             "community_precision",
@@ -186,29 +204,41 @@ def metric_rows_for_point(cfg: ExperimentConfig, point: SweepPoint, rep: int):
             "nmi", nmi(recon_labels, tnet_labels[proj_dense])))
     except Exception as exc:
         errors.append(cells + ["community", str(exc)])
-        recon_labels = None
-        proj = None
+        return rows_prec, rows_comm, rows_rank, errors
 
-    if proj is not None:
-        try:
-            under_labels = detect(graph, DetectorConfig(
-                seed=derive_seed(cfg.seed, "communities", "underlying",
-                                 _fmt(point.mu), rep)))
-            u_deg, u_kout, u_emb = vertex_properties(graph, under_labels)
-            r_deg, r_kout, r_emb = vertex_properties(result.graph, recon_labels)
-            for name, uvals, rvals in (("degree", u_deg, r_deg),
-                                       ("k_out", u_kout, r_kout),
-                                       ("embeddedness", u_emb, r_emb)):
-                try:
-                    ids, means = aggregate_by_projection(rvals, proj)
-                    rows_rank.append(metric_row(
-                        f"spearman_{name}", spearman(uvals[ids], means)))
-                except Exception as exc:
-                    errors.append(cells + [f"rank:{name}", str(exc)])
-        except Exception as exc:
-            errors.append(cells + ["rank", str(exc)])
-
+    try:
+        under_labels = _communities(cfg, point, rep, graph, "underlying")
+        u_deg, u_kout, u_emb = vertex_properties(graph, under_labels)
+        r_deg, r_kout, r_emb = vertex_properties(result.graph, recon_labels)
+        for name, uvals, rvals in (("degree", u_deg, r_deg),
+                                   ("k_out", u_kout, r_kout),
+                                   ("embeddedness", u_emb, r_emb)):
+            try:
+                ids, means = aggregate_by_projection(rvals, proj)
+                rows_rank.append(metric_row(
+                    f"spearman_{name}", spearman(uvals[ids], means)))
+            except Exception as exc:
+                errors.append(cells + [f"rank:{name}", str(exc)])
+    except Exception as exc:
+        errors.append(cells + ["rank", str(exc)])
     return rows_prec, rows_comm, rows_rank, errors
+
+
+def metric_rows_for_point(cfg: ExperimentConfig, point: SweepPoint, rep: int):
+    """Compute one repetition's precision/community/rank rows."""
+    errors: list[list[str]] = []
+    cells = _param_cells(cfg, point, rep)
+    try:
+        graph = _network(cfg, point, rep)
+        attrs, dist = _attributes(cfg, point, rep, graph)
+        forest = _sample(cfg, point, rep, graph, attrs)
+        result = _reconstruct(cfg, point, rep, graph.n, forest, dist, errors)
+    except Exception as exc:  # config-level/feasibility failures
+        errors.append(cells + ["setup", str(exc)])
+        return [], [], [], errors
+    rows_prec, rows_comm, rows_rank, score_errors = _score(
+        cfg, point, rep, graph, forest, result)
+    return rows_prec, rows_comm, rows_rank, errors + score_errors
 
 
 def _pinned_point(cfg: ExperimentConfig, method: str,
@@ -233,9 +263,10 @@ def epidemic_rows_for_point(cfg: ExperimentConfig, method: str,
         ensemble: list[Graph] = []
         projections: list[np.ndarray] = []
         for i in range(cfg.ensemble):
-            icells = _param_cells(cfg, point, f"{rep}.{i}")
-            forest, result = _sample_and_reconstruct(
-                cfg, point, f"{rep}.{i}", graph, attrs, dist, errors, icells)
+            irep = f"{rep}.{i}"
+            forest = _sample(cfg, point, irep, graph, attrs)
+            result = _reconstruct(cfg, point, irep, graph.n, forest, dist,
+                                  errors)
             ensemble.append(result.graph)
             projections.append(project(result.provenance, forest))
     except Exception as exc:
@@ -246,7 +277,6 @@ def epidemic_rows_for_point(cfg: ExperimentConfig, method: str,
                     infectious_steps=cfg.sir_steps)
     for token in cfg.strategies:
         kind, prop = parse_strategy(token)
-        needs_ensemble = kind.startswith("reconstructed")
         for budget in cfg.budgets:
             count = max(1, round(budget * graph.n))
             spec = StrategySpec(kind=kind, budget=count, property=prop,
@@ -254,10 +284,9 @@ def epidemic_rows_for_point(cfg: ExperimentConfig, method: str,
             seed = derive_seed(cfg.seed, "epidemic", point.key(), kind, prop,
                                repr(budget), rep)
             try:
-                out = evaluate_strategy(
-                    graph, spec, sir, cfg.sir_runs, seed,
-                    ensemble=ensemble if needs_ensemble else None,
-                    projections=projections if needs_ensemble else None)
+                out = evaluate_strategy(graph, spec, sir, cfg.sir_runs, seed,
+                                        ensemble=ensemble,
+                                        projections=projections)
             except Exception as exc:
                 errors.append(cells + [f"epidemic:{token}", str(exc)])
                 continue
@@ -289,6 +318,17 @@ def _write_csv(path, header: list[str], rows: list[list[str]]) -> None:
         w.writerows(rows)
 
 
+def _map_tasks(fn, tasks: list, jobs: int) -> list:
+    """``[fn(t) for t in tasks]``, over ``jobs`` worker processes if > 1."""
+    if jobs > 1 and tasks:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, tasks, chunksize=1))
+    return [fn(t) for t in tasks]
+
+
+STAGES = ("all", "metrics", "epidemic")
+
+
 def run_pipeline(cfg: ExperimentConfig, jobs: int = 1,
                  stage: str = "all") -> dict[str, str]:
     """Run the sweep and write the result tables under ``cfg.out``.
@@ -296,7 +336,7 @@ def run_pipeline(cfg: ExperimentConfig, jobs: int = 1,
     ``stage`` limits the work: "metrics" (the three per-run tables),
     "epidemic", or "all".  Returns a name -> path map of written files.
     """
-    if stage not in ("all", "metrics", "epidemic"):
+    if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}")
     cfg.validate()
     os.makedirs(cfg.out, exist_ok=True)
@@ -311,12 +351,7 @@ def run_pipeline(cfg: ExperimentConfig, jobs: int = 1,
         tasks = [(cfg, point, rep)
                  for point in cfg.points()
                  for rep in range(cfg.repetitions)]
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_metric_task, tasks, chunksize=1))
-        else:
-            results = [_metric_task(t) for t in tasks]
-        for rp, rc, rr, errs in results:
+        for rp, rc, rr, errs in _map_tasks(_metric_task, tasks, jobs):
             rows_prec.extend(rp)
             rows_comm.extend(rc)
             rows_rank.extend(rr)
@@ -332,12 +367,7 @@ def run_pipeline(cfg: ExperimentConfig, jobs: int = 1,
         if cfg.epidemic:
             nts = cfg.n_t_frac if cfg.n_t_rule == "fraction-of-n" else (None,)
             epi_tasks = [(cfg, m, nt) for m in cfg.method for nt in nts]
-        if jobs > 1 and epi_tasks:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                eresults = list(pool.map(_epidemic_task, epi_tasks, chunksize=1))
-        else:
-            eresults = [_epidemic_task(t) for t in epi_tasks]
-        for rows, errs in eresults:
+        for rows, errs in _map_tasks(_epidemic_task, epi_tasks, jobs):
             rows_epi.extend(rows)
             errors.extend(errs)
         path = os.path.join(cfg.out, "epidemic.csv")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .attributes import AttributeMap
-from .graph import Graph
+from .graph import Graph, open_text, read_partition, write_partition
 from .seeding import derive_seed
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "FRIEND",
     "Description",
     "SampleForest",
+    "METHODS",
     "sample_paths",
     "elicit_friends",
     "true_network",
@@ -41,6 +42,8 @@ __all__ = [
 
 RESPONDENT = 0
 FRIEND = 1
+
+METHODS = ("rpm", "hpm")  # random and high-degree path methods
 
 SEED_DEGREE_MIN = 5  # high-degree seeding threshold
 
@@ -133,7 +136,7 @@ def sample_paths(g: Graph, n_r: int, method: str, seed: int) -> list[np.ndarray]
     A path ends when its tip has no unused neighbor; the final path is
     cut short as soon as the respondent budget is reached.
     """
-    if method not in ("rpm", "hpm"):
+    if method not in METHODS:
         raise ValueError(f"unknown sampling method {method!r}")
     if not 1 <= n_r <= g.n:
         raise ValueError(f"n_r must lie in [1, {g.n}]")
@@ -260,13 +263,7 @@ def write_forest(forest: SampleForest, target) -> None:
     ``lo..hi`` for friend descriptions.  The truth mapping is *not*
     written here (see :func:`write_truth`).
     """
-    close = False
-    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-        fh = open(target, "w", encoding="utf-8")
-        close = True
-    else:
-        fh = target
-    try:
+    with open_text(target, "w") as fh:
         fh.write(f"# g {forest.g}\n")
         for i in range(forest.size):
             if forest.kind[i] == RESPONDENT:
@@ -276,22 +273,13 @@ def write_forest(forest: SampleForest, target) -> None:
                 payload = f"{int(forest.lo[i])}..{int(forest.hi[i])}"
                 kd = "F"
             fh.write(f"{int(forest.tree[i])} {i} {kd} {int(forest.parent[i])} {payload}\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def read_forest(source, g: int | None = None) -> SampleForest:
     """Parse a forest file written by :func:`write_forest` (truth absent)."""
-    close = False
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        fh = open(source, "r", encoding="utf-8")
-        close = True
-    else:
-        fh = source
     rows = []
     header_g = None
-    try:
+    with open_text(source) as fh:
         for lineno, line in enumerate(fh, start=1):
             s = line.strip()
             if not s:
@@ -315,9 +303,6 @@ def read_forest(source, g: int | None = None) -> SampleForest:
                 rows.append((int(t), int(occ), FRIEND, int(par), int(lo_s), int(hi_s)))
             else:
                 raise ValueError(f"line {lineno}: unknown kind {kd!r}")
-    finally:
-        if close:
-            fh.close()
     if not rows:
         raise ValueError("forest file is empty")
     rows.sort(key=lambda r: r[1])
@@ -334,10 +319,8 @@ def write_truth(forest: SampleForest, target) -> None:
     """Write the sealed occurrence -> underlying-vertex table."""
     if forest.truth is None:
         raise ValueError("forest carries no truth mapping")
-    from .graph import write_partition
     write_partition(forest.truth, target)
 
 
 def read_truth(source, n_occ: int | None = None) -> np.ndarray:
-    from .graph import read_partition
     return read_partition(source, n=n_occ)

@@ -165,10 +165,18 @@ def test_cli_run_and_overrides(tmp_path):
             != (out2 / "precision.csv").read_text())
 
 
-def test_cli_stage_chain_matches_run(tmp_path):
+HPM = TINY.replace("method = rpm", "method = hpm")
+
+
+@pytest.mark.parametrize("text", [
+    TINY,
+    HPM + "n_t_rule = fraction-of-n\nn_t_frac = 0.3\n",
+    HPM + "assortative = true\n",
+], ids=["rpm", "hpm-fraction-of-n", "hpm-assortative"])
+def test_cli_stage_chain_matches_run(tmp_path, text):
     """generate -> sample -> reconstruct -> communities -> metrics yields
     exactly the repetition-0 metric rows of the packaged sweep."""
-    path = write_cfg(tmp_path, TINY)
+    path = write_cfg(tmp_path, text)
     run_dir = tmp_path / "full"
     stage_dir = tmp_path / "stages"
     assert main(["run", "--config", path, "--out", str(run_dir)]) == 0
