@@ -143,6 +143,11 @@ def edge_discrepancy(g: Graph, attrs: AttributeMap) -> int:
     return int(np.abs(a[e[:, 0]] - a[e[:, 1]]).sum())
 
 
+# rows of (x, y) proposals drawn per rng call; a (k, 2) draw followed by
+# another continues the same stream as one (k + k', 2) draw
+_PROPOSAL_CHUNK = 4096
+
+
 def make_assortative(g: Graph, attrs: AttributeMap, attempts: int,
                      seed: int) -> AttributeMap:
     """Shuffle categories toward assortativity by discrepancy-reducing swaps.
@@ -151,30 +156,38 @@ def make_assortative(g: Graph, attrs: AttributeMap, attempts: int,
     and accepts the swap iff the total edge discrepancy
     (sum of |a_u - a_v| over edges) does not increase.  The category
     multiset is preserved exactly; only the assignment changes.
+
+    The proposals are the rows of ``rng.integers(0, n, size=(attempts,
+    2))``.  They are drawn in chunks of ``_PROPOSAL_CHUNK`` rows, which
+    consume the same random stream as that single draw, so the result
+    does not depend on the chunk size while memory stays bounded.
     """
     if attempts < 0:
         raise ValueError("attempts must be nonnegative")
     rng = np.random.default_rng(seed)
-    a = attrs.values.copy()
     n = g.n
     if n < 2:
-        return AttributeMap(a, attrs.g)
-    indptr, indices = g.indptr, g.indices
-    pairs = rng.integers(0, n, size=(attempts, 2))
-    for x, y in pairs:
-        if x == y:
-            continue
-        cx, cy = a[x], a[y]
-        if cx == cy:
-            continue
-        nx = indices[indptr[x]:indptr[x + 1]]
-        ny = indices[indptr[y]:indptr[y + 1]]
-        # the x-y edge (if present) contributes |cx-cy| before and after,
-        # so it is excluded from both neighbor sums
-        nx = nx[nx != y]
-        ny = ny[ny != x]
-        delta = (np.abs(cy - a[nx]).sum() - np.abs(cx - a[nx]).sum()
-                 + np.abs(cx - a[ny]).sum() - np.abs(cy - a[ny]).sum())
-        if delta <= 0:
-            a[x], a[y] = cy, cx
-    return AttributeMap(a, attrs.g)
+        return AttributeMap(attrs.values.copy(), attrs.g)
+    a = attrs.values.tolist()
+    indptr, indices = g.indptr.tolist(), g.indices.tolist()
+    neighbors = [indices[indptr[v]:indptr[v + 1]] for v in range(n)]
+    for start in range(0, attempts, _PROPOSAL_CHUNK):
+        rows = min(_PROPOSAL_CHUNK, attempts - start)
+        for x, y in rng.integers(0, n, size=(rows, 2)).tolist():
+            cx, cy = a[x], a[y]
+            if cx == cy:  # also covers x == y
+                continue
+            # the x-y edge (if present) contributes |cx-cy| before and
+            # after, so it is excluded from both neighbor sums
+            delta = 0
+            for w in neighbors[x]:
+                if w != y:
+                    aw = a[w]
+                    delta += abs(cy - aw) - abs(cx - aw)
+            for w in neighbors[y]:
+                if w != x:
+                    aw = a[w]
+                    delta += abs(cx - aw) - abs(cy - aw)
+            if delta <= 0:
+                a[x], a[y] = cy, cx
+    return AttributeMap(np.asarray(a, dtype=np.int64), attrs.g)

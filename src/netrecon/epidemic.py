@@ -100,6 +100,11 @@ def sir_run(g: Graph, immunized: np.ndarray, params: SirParams, seed: int) -> in
     Seeds max(1, round(init_frac * n)) uniform vertices among the
     non-immunized.  Raises if everyone (or too many to seed) is
     immunized.
+
+    Each step gathers the contacts of all infectious vertices in
+    increasing vertex id, each vertex's neighbors in adjacency order,
+    and draws one uniform per contact in that order; this order fixes
+    the random stream, so it must not change.
     """
     rng = np.random.default_rng(seed)
     immune = np.zeros(g.n, dtype=bool)
@@ -124,8 +129,13 @@ def sir_run(g: Graph, immunized: np.ndarray, params: SirParams, seed: int) -> in
         infectious = np.flatnonzero(timer > 0)
         if infectious.size == 0:
             break
-        contacts = np.concatenate(
-            [indices[indptr[v]:indptr[v + 1]] for v in infectious])
+        # every infectious vertex's neighbors, vertex by vertex in id
+        # order: the beta draws below are taken in this contact order
+        starts = indptr[infectious]
+        counts = indptr[infectious + 1] - starts
+        ends = np.cumsum(counts)
+        contacts = indices[np.repeat(starts - ends + counts, counts)
+                           + np.arange(ends[-1])]
         if contacts.size:
             hits = contacts[rng.random(contacts.size) < params.beta]
             new = np.unique(hits)

@@ -18,6 +18,7 @@ generator gets as close as it can (the realized value is measurable with
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,8 +151,13 @@ def _assign_communities(degrees: np.ndarray, sizes: np.ndarray, mu: float,
 
 def _external_targets(degrees: np.ndarray, labels: np.ndarray,
                       sizes: np.ndarray, mu: float,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Integer external degree per vertex, mean fraction steered to mu."""
+                      rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    """Integer external degree per vertex, mean fraction steered to mu.
+
+    Also returns the achievable floor of the mean external fraction: the
+    mean over vertices of the share of their degree that their community
+    cannot host.
+    """
     k = degrees.astype(float)
     cap = (sizes[labels] - 1).astype(float)
     floor_frac = np.maximum(0.0, degrees - cap) / k
@@ -167,7 +173,7 @@ def _external_targets(degrees: np.ndarray, labels: np.ndarray,
     ext = np.floor(target).astype(np.int64)
     ext += (rng.random(degrees.size) < (target - ext)).astype(np.int64)
     lo = np.maximum(0, degrees - cap.astype(np.int64))
-    return np.clip(ext, lo, degrees)
+    return np.clip(ext, lo, degrees), float(floor_frac.mean())
 
 
 def _fix_parity(degrees, ext, labels, n_comm, rng):
@@ -227,7 +233,10 @@ def _randomize_edges(edges: list[tuple[int, int]], rng: np.random.Generator,
     edges = list(edges)
     n_e = len(edges)
     for _ in range(rounds * n_e):
-        i, j = rng.integers(0, n_e, size=2)
+        # two scalar draws take the same 32-bit stream as one size=2 draw,
+        # without the array overhead
+        i = rng.integers(n_e)
+        j = rng.integers(n_e)
         if i == j:
             continue
         a, b = edges[i]
@@ -304,7 +313,9 @@ def generate_lfr_like(params: LfrParams) -> tuple[Graph, np.ndarray]:
     community label.  Deterministic for a fixed parameter set.  Raises
     ``ValueError`` when the parameters are infeasible (no community size
     arrangement exists, or the degree distribution cannot reach the
-    requested mean).
+    requested mean).  Warns with ``RuntimeWarning`` when the requested
+    mixing is below the floor that the community sizes allow; the graph
+    is then generated as close to the request as it can get.
     """
     rng = np.random.default_rng(params.seed)
     sizes = _community_sizes(params, rng)
@@ -315,7 +326,12 @@ def generate_lfr_like(params: LfrParams) -> tuple[Graph, np.ndarray]:
                          p=_power_law_pmf(params.tau1, k_lo, params.k_max))
 
     labels = _assign_communities(degrees, sizes, params.mu, rng)
-    ext = _external_targets(degrees, labels, sizes, params.mu, rng)
+    ext, floor = _external_targets(degrees, labels, sizes, params.mu, rng)
+    if params.mu < floor:
+        warnings.warn(
+            f"requested mixing {params.mu} is below the achievable floor "
+            f"{floor:.4f}: the communities cannot host enough internal edges",
+            RuntimeWarning, stacklevel=2)
     degrees = degrees.copy()
     degrees, ext, internal = _fix_parity(degrees, ext, labels, sizes.size, rng)
 

@@ -4,6 +4,12 @@ Everything in this module is written directly from the defining formula
 with plain Python loops — no shared code with the package under test —
 so agreement between the two is meaningful evidence of correctness.
 These are O(n^2) or worse and meant only for small instances.
+
+The random-process references (:func:`make_assortative_reference`,
+:func:`randomize_edges_reference`, :func:`sir_reference`) draw from the
+same NumPy generator as the package, in the plainest form of the
+process, so that a faster rewrite can be checked for giving the very
+same result and leaving the generator in the very same state.
 """
 
 from __future__ import annotations
@@ -252,3 +258,104 @@ def coalescing_reference(is_respondent, lo, hi, parent, groups, probs, n_t):
                 p = mass(lo_ij, hi_ij) / (n_t * m_i * m_j)
         prob[i, j] = min(1.0, p)
     return candidate, prob
+
+
+def _discrepancy(edges, values):
+    return sum(abs(values[u] - values[v]) for u, v in edges)
+
+
+def make_assortative_reference(n, edges, values, attempts, seed):
+    """Category swaps judged by the whole-graph edge discrepancy.
+
+    Replays the proposals of the shuffle, the rows of one
+    ``rng.integers(0, n, size=(attempts, 2))`` draw, and keeps a swap
+    iff the sum of |category difference| over all edges, recomputed
+    from scratch, does not rise.
+    """
+    import numpy as np
+
+    a = list(values)
+    if n < 2:
+        return a
+    rng = np.random.default_rng(seed)
+    current = _discrepancy(edges, a)
+    for x, y in rng.integers(0, n, size=(attempts, 2)):
+        x, y = int(x), int(y)
+        a[x], a[y] = a[y], a[x]
+        after = _discrepancy(edges, a)
+        if after <= current:
+            current = after
+        else:
+            a[x], a[y] = a[y], a[x]
+    return a
+
+
+def randomize_edges_reference(edges, rng, rounds=10):
+    """Double-edge swaps drawing both edge indices with one size=2 call."""
+    if len(edges) < 2:
+        return edges
+    edge_set = set(edges)
+    edges = list(edges)
+    n_e = len(edges)
+    for _ in range(rounds * n_e):
+        i, j = rng.integers(0, n_e, size=2)
+        if i == j:
+            continue
+        a, b = edges[i]
+        c, d = edges[j]
+        if rng.random() < 0.5:
+            c, d = d, c
+        if len({a, b, c, d}) < 4:
+            continue
+        e1 = (min(a, d), max(a, d))
+        e2 = (min(c, b), max(c, b))
+        if e1 in edge_set or e2 in edge_set:
+            continue
+        edge_set.discard(edges[i])
+        edge_set.discard(edges[j])
+        edge_set.add(e1)
+        edge_set.add(e2)
+        edges[i], edges[j] = e1, e2
+    return edges
+
+
+def sir_reference(indptr, indices, immunized, init_frac, beta,
+                  infectious_steps, seed):
+    """Synchronous SIR gathering each step's contacts vertex by vertex.
+
+    Concatenates the adjacency slice of every infectious vertex in
+    increasing id, draws one uniform per contact and returns the number
+    of vertices ever infected.
+    """
+    import numpy as np
+
+    n = len(indptr) - 1
+    rng = np.random.default_rng(seed)
+    immune = np.zeros(n, dtype=bool)
+    immune[np.asarray(immunized, dtype=np.int64)] = True
+    pool = np.flatnonzero(~immune)
+    n_seed = max(1, round(init_frac * n))
+    seeds = rng.choice(pool, size=n_seed, replace=False)
+    susceptible = ~immune
+    susceptible[seeds] = False
+    timer = np.zeros(n, dtype=np.int64)
+    timer[seeds] = infectious_steps
+    total = int(n_seed)
+    while True:
+        infectious = np.flatnonzero(timer > 0)
+        if infectious.size == 0:
+            break
+        contacts = np.concatenate(
+            [indices[indptr[v]:indptr[v + 1]] for v in infectious])
+        if contacts.size:
+            hits = contacts[rng.random(contacts.size) < beta]
+            new = np.unique(hits)
+            new = new[susceptible[new]]
+        else:
+            new = np.zeros(0, dtype=np.int64)
+        timer[infectious] -= 1
+        if new.size:
+            susceptible[new] = False
+            timer[new] = infectious_steps
+            total += int(new.size)
+    return total

@@ -16,6 +16,7 @@ from netrecon import (
     make_assortative,
     uniform_distribution,
 )
+from oracles import make_assortative_reference
 
 
 def test_distribution_validation():
@@ -146,3 +147,40 @@ def test_make_assortative_deterministic():
     a = make_assortative(g, attrs, attempts=500, seed=11)
     b = make_assortative(g, attrs, attempts=500, seed=11)
     assert (a.values == b.values).all()
+
+
+def _random_graph(n, p, seed):
+    rng = np.random.default_rng(seed)
+    return [(i, j) for i in range(n) for j in range(i + 1, n)
+            if rng.random() < p]
+
+
+ASSORT_GRAPHS = {
+    # every proposal of two distinct vertices is an edge
+    "complete": (8, [(i, j) for i in range(8) for j in range(i + 1, 8)]),
+    # about half the proposals are edges
+    "dense": (14, _random_graph(14, 0.5, 5)),
+    # few proposals are edges; some vertices are isolated
+    "sparse": (40, _random_graph(40, 0.06, 6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ASSORT_GRAPHS))
+@pytest.mark.parametrize("attempts", [0, 1, 4095, 4096, 4097, 3 * 4096 + 5])
+def test_make_assortative_matches_whole_graph_oracle(name, attempts):
+    """Every swap decision equals the one taken from a full recount of
+    the discrepancy, over the same proposals, across chunk boundaries."""
+    n, edges = ASSORT_GRAPHS[name]
+    g = Graph.from_edges(n, edges)
+    for g_cat in (4, n):
+        attrs = assign_attributes(n, uniform_distribution(g_cat), seed=n + g_cat)
+        out = make_assortative(g, attrs, attempts=attempts, seed=attempts)
+        expected = make_assortative_reference(
+            n, edges, attrs.values.tolist(), attempts, seed=attempts)
+        assert out.values.tolist() == expected
+
+
+def test_make_assortative_on_tiny_graph():
+    g = Graph.from_edges(1, [])
+    attrs = AttributeMap(np.array([3]), g=5)
+    assert make_assortative(g, attrs, attempts=10, seed=0).values.tolist() == [3]

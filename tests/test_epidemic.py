@@ -14,6 +14,7 @@ from netrecon import (
     select_immunized,
     sir_run,
 )
+from oracles import sir_reference
 
 
 def star(n):
@@ -245,3 +246,22 @@ def test_immunizing_hubs_shrinks_epidemics(bench):
     none = StrategySpec(kind="underlying-top", budget=0, property="degree")
     out_none = evaluate_strategy(g, none, params, runs=200, seed=6)
     assert out_top.mean < out_none.mean
+
+
+def test_sir_matches_per_vertex_gather(bench):
+    """The vectorized contact gather draws in the same order as a
+    per-vertex concatenation, so every epidemic has the same size."""
+    # vertices 250..259 are isolated: they can be seeded but spread nothing
+    g = Graph.from_edges(260, bench.edges())
+    cases = [
+        (np.zeros(0, dtype=np.int64), SirParams(init_frac=0.02, beta=0.2)),
+        (np.arange(0, 260, 9), SirParams(init_frac=0.03, beta=0.3,
+                                         infectious_steps=2)),
+        (np.array([1, 5]), SirParams(init_frac=0.05, beta=0.0)),
+        (np.arange(100, 140), SirParams(init_frac=0.01, beta=1.0)),
+    ]
+    for immunized, p in cases:
+        for seed in range(50):
+            assert sir_run(g, immunized, p, seed) == sir_reference(
+                g.indptr, g.indices, immunized, p.init_frac, p.beta,
+                p.infectious_steps, seed)

@@ -1,9 +1,13 @@
 """Synthetic benchmark generator: degrees, communities, mixing."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from netrecon import LfrParams, generate_lfr_like, realized_mixing
+from netrecon.generate import _randomize_edges
+from oracles import randomize_edges_reference
 
 PARAMS = LfrParams(n=400, k_avg=8, k_max=25, mu=0.2, tau1=2.5, tau2=1.0,
                    c_min=10, c_max=40, seed=0)
@@ -83,3 +87,45 @@ def test_mixing_ordering_monotone():
         g, labels = generate_lfr_like(p)
         sizes.append(realized_mixing(g, labels))
     assert sizes[0] < sizes[1] < sizes[2]
+
+
+# the dense benchmark of the acceptance suite: communities of 10-20 cannot
+# host the internal degree of a mean-20 network, so mixing floors near 0.25
+DENSE = dict(n=1460, k_avg=20, k_max=30, tau1=3, tau2=1.0, c_min=10, c_max=20)
+
+
+def test_infeasible_mixing_request_warns_with_floor():
+    with pytest.warns(RuntimeWarning, match=r"below the achievable floor 0\.2"):
+        generate_lfr_like(LfrParams(mu=0.1, seed=0, **DENSE))
+
+
+def test_feasible_mixing_request_does_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        generate_lfr_like(LfrParams(mu=0.3, seed=0, **DENSE))
+
+
+EDGE_LISTS = {
+    "ring": [(i, i + 1) for i in range(29)] + [(0, 29)],
+    "triangle": [(0, 1), (0, 2), (1, 2)],  # no swap keeps it simple
+    "two": [(0, 1), (2, 3)],
+    "random": sorted({(min(u, v), max(u, v)) for u, v in
+                      np.random.default_rng(8).integers(0, 50, size=(200, 2))
+                      if u != v}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_LISTS))
+def test_randomize_edges_keeps_the_size2_stream(name):
+    """Two scalar index draws give the same swaps as one size=2 draw and
+    leave the generator in the same state."""
+    edges = EDGE_LISTS[name]
+    for seed in range(3):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = _randomize_edges(edges, rng)
+        expected = randomize_edges_reference(edges, ref_rng)
+        assert out == expected
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # the stream continues identically after the call
+        assert rng.integers(0, 1000, size=5).tolist() == \
+            ref_rng.integers(0, 1000, size=5).tolist()
