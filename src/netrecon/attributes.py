@@ -143,8 +143,7 @@ def edge_discrepancy(g: Graph, attrs: AttributeMap) -> int:
     return int(np.abs(a[e[:, 0]] - a[e[:, 1]]).sum())
 
 
-# rows of (x, y) proposals drawn per rng call; a (k, 2) draw followed by
-# another continues the same stream as one (k + k', 2) draw
+# (x, y) proposal rows drawn per rng call in make_assortative
 _PROPOSAL_CHUNK = 4096
 
 
