@@ -143,7 +143,7 @@ def _assign_communities(degrees: np.ndarray, sizes: np.ndarray, mu: float,
             open_ = np.flatnonzero(free > 0)
             top = sizes[open_].max()
             choices = open_[sizes[open_] == top]
-        c = int(rng.choice(choices))
+        c = int(choices[rng.integers(choices.size)])
         labels[v] = c
         free[c] -= 1
     return labels
@@ -226,27 +226,39 @@ def _havel_hakimi_edges(members: np.ndarray, targets: np.ndarray,
 
 def _randomize_edges(edges: list[tuple[int, int]], rng: np.random.Generator,
                      rounds: int = 10) -> list[tuple[int, int]]:
-    """Shuffle a fixed-degree simple graph by double-edge swaps."""
+    """Shuffle a fixed-degree simple graph by double-edge swaps.
+
+    Each of the ``rounds * n_e`` attempts picks two edge indices i, j and
+    an orientation coin; edges (a, b) and (c, d), with (c, d) reversed on
+    heads, become (a, d) and (c, b) unless that makes a self-loop or a
+    duplicate.  All proposals of a call are drawn up front, in three bulk
+    calls.  That gives other random numbers than one draw per attempt
+    (``tests/oracles.randomize_edges_reference``) but the same process:
+    in both forms the (i, j, coin) triples are i.i.d. uniform, and the
+    per-attempt form skips the coin when i == j, where this one draws it
+    and ignores it.  So the two run the same Markov chain on edge sets.
+    """
     if len(edges) < 2:
         return edges
     edge_set = set(edges)
     edges = list(edges)
     n_e = len(edges)
-    for _ in range(rounds * n_e):
-        # two scalar draws take the same 32-bit stream as one size=2 draw,
-        # without the array overhead
-        i = rng.integers(n_e)
-        j = rng.integers(n_e)
+    attempts = rounds * n_e
+    first = rng.integers(n_e, size=attempts).tolist()
+    second = rng.integers(n_e, size=attempts).tolist()
+    flips = (rng.random(attempts) < 0.5).tolist()
+    for i, j, flip in zip(first, second, flips):
         if i == j:
             continue
         a, b = edges[i]
-        c, d = edges[j]
-        if rng.random() < 0.5:
-            c, d = d, c
-        if len({a, b, c, d}) < 4:
+        if flip:
+            d, c = edges[j]
+        else:
+            c, d = edges[j]
+        if a == c or a == d or b == c or b == d:
             continue
-        e1 = (min(a, d), max(a, d))
-        e2 = (min(c, b), max(c, b))
+        e1 = (a, d) if a < d else (d, a)
+        e2 = (c, b) if c < b else (b, c)
         if e1 in edge_set or e2 in edge_set:
             continue
         edge_set.discard(edges[i])

@@ -5,11 +5,15 @@ with plain Python loops — no shared code with the package under test —
 so agreement between the two is meaningful evidence of correctness.
 These are O(n^2) or worse and meant only for small instances.
 
-The random-process references (:func:`make_assortative_reference`,
-:func:`randomize_edges_reference`, :func:`sir_reference`) draw from the
-same NumPy generator as the package, in the plainest form of the
-process, so that a faster rewrite can be checked for giving the very
-same result and leaving the generator in the very same state.
+The random-process references draw from the same NumPy generator as the
+package, in the plainest form of the process.  They come in two kinds.
+Stream oracles (:func:`assign_communities_reference`,
+:func:`make_assortative_reference`, :func:`sir_reference`) draw the very
+same random numbers in the same order as the package, so a faster
+rewrite must give the very same result and leave the generator in the
+very same state.  Law oracles (:func:`randomize_edges_reference`) run
+the same random process from other draws, so a rewrite is checked
+against them by statistical tests over many seeds.
 """
 
 from __future__ import annotations
@@ -290,8 +294,35 @@ def make_assortative_reference(n, edges, values, attempts, seed):
     return a
 
 
+def assign_communities_reference(degrees, sizes, mu, rng):
+    """Capacity-aware community placement with one ``rng.choice`` per
+    vertex, as a label list.
+
+    Vertices come in ``rng.permutation`` order; each takes a community
+    with a free slot and at least ceil((1 - mu) * degree) other slots,
+    or, if there is none, one of the largest communities with a free
+    slot.
+    """
+    free = [int(s) for s in sizes]
+    labels = [0] * len(degrees)
+    for v in rng.permutation(len(degrees)):
+        demand = math.ceil((1.0 - mu) * float(degrees[v]))
+        choices = [c for c, s in enumerate(sizes)
+                   if free[c] > 0 and s - 1 >= demand]
+        if not choices:
+            open_ = [c for c in range(len(sizes)) if free[c] > 0]
+            top = max(sizes[c] for c in open_)
+            choices = [c for c in open_ if sizes[c] == top]
+        c = int(rng.choice(choices))
+        labels[v] = c
+        free[c] -= 1
+    return labels
+
+
 def randomize_edges_reference(edges, rng, rounds=10):
-    """Double-edge swaps drawing both edge indices with one size=2 call."""
+    """Double-edge swaps drawing each attempt's edge indices and
+    orientation coin when the attempt is made (no coin when the two
+    indices are equal)."""
     if len(edges) < 2:
         return edges
     edge_set = set(edges)

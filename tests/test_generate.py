@@ -1,13 +1,16 @@
 """Synthetic benchmark generator: degrees, communities, mixing."""
 
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.stats import chi2_contingency
 
 from netrecon import LfrParams, generate_lfr_like, realized_mixing
-from netrecon.generate import _randomize_edges
-from oracles import randomize_edges_reference
+from netrecon.generate import _assign_communities, _randomize_edges
+from oracles import assign_communities_reference, randomize_edges_reference
 
 PARAMS = LfrParams(n=400, k_avg=8, k_max=25, mu=0.2, tau1=2.5, tau2=1.0,
                    c_min=10, c_max=40, seed=0)
@@ -105,8 +108,12 @@ def test_feasible_mixing_request_does_not_warn():
         generate_lfr_like(LfrParams(mu=0.3, seed=0, **DENSE))
 
 
+def _ring(n):
+    return [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+
+
 EDGE_LISTS = {
-    "ring": [(i, i + 1) for i in range(29)] + [(0, 29)],
+    "ring": _ring(30),
     "triangle": [(0, 1), (0, 2), (1, 2)],  # no swap keeps it simple
     "two": [(0, 1), (2, 3)],
     "random": sorted({(min(u, v), max(u, v)) for u, v in
@@ -115,14 +122,86 @@ EDGE_LISTS = {
 }
 
 
+def _same_law_pvalue(stat, edges, seeds, ref_seeds):
+    """Chi-square contingency p-value of ``stat`` of the final edge list,
+    the swap chain against the per-attempt oracle on disjoint seeds."""
+    ours = Counter(stat(_randomize_edges(edges, np.random.default_rng(s)))
+                   for s in seeds)
+    ref = Counter(stat(randomize_edges_reference(edges, np.random.default_rng(s)))
+                  for s in ref_seeds)
+    classes = list(ours.keys() | ref.keys())
+    return chi2_contingency([[ours[c] for c in classes],
+                             [ref[c] for c in classes]]).pvalue
+
+
+def test_randomize_edges_final_graph_law_matches_oracle():
+    """On the 6-ring the chain ends on one of the 70 labelled 2-regular
+    graphs (60 hexagons, 10 pairs of triangles); the bulk draws and the
+    per-attempt oracle must reach them with the same frequencies."""
+    p = _same_law_pvalue(frozenset, _ring(6), range(2000), range(10**5, 10**5 + 2000))
+    assert p > 1e-3
+
+
+def test_randomize_edges_survivor_law_matches_oracle():
+    """How many of the 30-ring's edges survive the shuffle; a chain that
+    never reverses the second edge keeps far more of them."""
+    ring = _ring(30)
+
+    def survivors(out):
+        return min(len(set(out) & set(ring)), 5)  # pool the thin tail
+
+    p = _same_law_pvalue(survivors, ring, range(600), range(10**5, 10**5 + 600))
+    assert p > 1e-3
+
+
 @pytest.mark.parametrize("name", sorted(EDGE_LISTS))
-def test_randomize_edges_keeps_the_size2_stream(name):
-    """Two scalar index draws give the same swaps as one size=2 draw and
-    leave the generator in the same state."""
+def test_randomize_edges_draws_three_bulk_arrays(name):
+    """One call takes two index arrays and one coin array of rounds*n_e
+    values each, and nothing else, from the generator."""
     edges = EDGE_LISTS[name]
     for seed in range(3):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        out = _randomize_edges(edges, rng)
-        expected = randomize_edges_reference(edges, ref_rng)
-        assert out == expected
+        _randomize_edges(edges, rng, rounds=10)
+        attempts = 10 * len(edges)
+        ref_rng.integers(len(edges), size=attempts)
+        ref_rng.integers(len(edges), size=attempts)
+        ref_rng.random(attempts)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@st.composite
+def simple_graphs(draw):
+    n = draw(st.integers(2, 12))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    raw = draw(st.lists(pairs, max_size=40))
+    return sorted({(min(u, v), max(u, v)) for u, v in raw if u != v})
+
+
+def _degrees(edges):
+    return Counter(v for e in edges for v in e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edges=simple_graphs(), seed=st.integers(0, 2**32 - 1))
+def test_randomize_edges_keeps_degrees_and_simplicity(edges, seed):
+    out = _randomize_edges(edges, np.random.default_rng(seed))
+    assert len(out) == len(edges)
+    assert all(u < v for u, v in out)
+    assert len(set(out)) == len(out)
+    assert _degrees(out) == _degrees(edges)
+    triangle = EDGE_LISTS["triangle"]
+    assert _randomize_edges(triangle, np.random.default_rng(seed)) == triangle
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_assign_communities_keeps_the_choice_stream(seed):
+    """Indexing with one integers() draw picks the same community as
+    rng.choice and leaves the generator in the same state."""
+    draw = np.random.default_rng(1000 + seed)
+    sizes = draw.integers(5, 21, size=12)
+    degrees = draw.integers(2, 31, size=int(sizes.sum()))  # some fit nowhere
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    labels = _assign_communities(degrees, sizes, 0.1, rng)
+    expected = assign_communities_reference(degrees, sizes, 0.1, ref_rng)
+    assert labels.tolist() == expected
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
