@@ -1,10 +1,21 @@
 """Discrete-time SIR epidemics and immunization strategies.
 
-The simulation is synchronous: at every step each infectious vertex
-independently infects each of its susceptible, non-immunized neighbors
-with probability beta, and a vertex recovers exactly
-``infectious_steps`` steps after its own infection.  The epidemic size
-is the number of vertices ever infected (seeds included).
+The epidemic model is synchronous SIR with a fixed infectious period:
+at every step each infectious vertex independently infects each of its
+susceptible, non-immunized neighbors with probability beta, and a
+vertex recovers exactly ``infectious_steps`` = T steps after its own
+infection.  The epidemic size is the number of vertices ever infected
+(seeds included).
+
+Only that final size is needed, and it is computed exactly without
+stepping through time.  An infected vertex u tries each neighbor v once
+per step for T steps, so u ever infects v with probability
+q = 1 - (1 - beta)^T, independently over directed edges (u -> v and
+v -> u alike).  The set of vertices ever infected is then the set
+reachable from the seeds over the open arcs without entering an
+immunized vertex: the SIR <-> bond percolation mapping, exact for a
+fixed infectious period (Kenah & Robins, PRE 76, 036113, 2007; Newman,
+PRE 66, 016128, 2002).
 
 Immunization strategies pick a budget of vertices to remove from the
 susceptible pool before seeding — either from the underlying network
@@ -98,18 +109,23 @@ def sir_run(g: Graph, immunized: np.ndarray, params: SirParams, seed: int) -> in
     """One epidemic; returns the number of vertices ever infected.
 
     Seeds max(1, round(init_frac * n)) uniform vertices among the
-    non-immunized.  Raises if everyone (or too many to seed) is
-    immunized.
+    non-immunized.  Raises if an immunized id lies outside [0, n), or if
+    everyone (or too many to seed) is immunized.
 
-    Each step gathers the contacts of all infectious vertices in
-    increasing vertex id, each vertex's neighbors in adjacency order,
-    and draws one uniform per contact in that order; this order fixes
-    the random stream, so it must not change.
+    The synchronous SIR final size is computed in its bond-percolation
+    form (see the module docstring): after the seed draw, one uniform
+    per CSR arc opens that arc with probability
+    q = 1 - (1 - beta)^infectious_steps, and the result is the number of
+    vertices reachable from the seeds over open arcs, immunized vertices
+    excluded.  At beta = 0 that is the seeds alone, at beta = 1 their
+    whole non-immunized component.
     """
     rng = np.random.default_rng(seed)
     immune = np.zeros(g.n, dtype=bool)
     imm = np.asarray(immunized, dtype=np.int64)
     if imm.size:
+        if imm.min() < 0 or imm.max() >= g.n:
+            raise ValueError("immunized ids must lie in [0, n)")
         immune[imm] = True
     pool = np.flatnonzero(~immune)
     if pool.size == 0:
@@ -119,34 +135,23 @@ def sir_run(g: Graph, immunized: np.ndarray, params: SirParams, seed: int) -> in
         raise ValueError("not enough non-immunized vertices to seed")
     seeds = rng.choice(pool, size=n_seed, replace=False)
 
-    susceptible = ~immune
-    susceptible[seeds] = False
-    timer = np.zeros(g.n, dtype=np.int64)
-    timer[seeds] = params.infectious_steps
+    q = 1.0 - (1.0 - params.beta) ** params.infectious_steps
+    open_arc = rng.random(g.indices.size) < q
+    reached = immune  # immunized or already infected: never entered again
+    reached[seeds] = True
+    frontier = seeds
     total = int(n_seed)
     indptr, indices = g.indptr, g.indices
-    while True:
-        infectious = np.flatnonzero(timer > 0)
-        if infectious.size == 0:
-            break
-        # every infectious vertex's neighbors, vertex by vertex in id
-        # order: the beta draws below are taken in this contact order
-        starts = indptr[infectious]
-        counts = indptr[infectious + 1] - starts
+    while frontier.size:
+        # the arc positions of every frontier vertex's adjacency slice
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
         ends = np.cumsum(counts)
-        contacts = indices[np.repeat(starts - ends + counts, counts)
-                           + np.arange(ends[-1])]
-        if contacts.size:
-            hits = contacts[rng.random(contacts.size) < params.beta]
-            new = np.unique(hits)
-            new = new[susceptible[new]]
-        else:
-            new = np.zeros(0, dtype=np.int64)
-        timer[infectious] -= 1
-        if new.size:
-            susceptible[new] = False
-            timer[new] = params.infectious_steps
-            total += int(new.size)
+        arcs = np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])
+        hits = indices[arcs[open_arc[arcs]]]
+        frontier = np.unique(hits[~reached[hits]])
+        reached[frontier] = True
+        total += int(frontier.size)
     return total
 
 

@@ -8,18 +8,18 @@ These are O(n^2) or worse and meant only for small instances.
 The random-process references draw from the same NumPy generator as the
 package, in the plainest form of the process.  They come in two kinds.
 Stream oracles (:func:`assign_communities_reference`,
-:func:`make_assortative_reference`, :func:`sir_reference`) draw the very
-same random numbers in the same order as the package, so a faster
-rewrite must give the very same result and leave the generator in the
-very same state.  Law oracles (:func:`randomize_edges_reference`) run
-the same random process from other draws, so a rewrite is checked
-against them by statistical tests over many seeds.
+:func:`make_assortative_reference`) draw the very same random numbers in
+the same order as the package, so a faster rewrite must give the very
+same result and leave the generator in the very same state.  Law oracles
+(:func:`randomize_edges_reference`, :func:`sir_reference`) run the same
+random process from other draws, so a rewrite is checked against them by
+statistical tests over many seeds.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from itertools import combinations
 
 
@@ -352,11 +352,12 @@ def randomize_edges_reference(edges, rng, rounds=10):
 
 def sir_reference(indptr, indices, immunized, init_frac, beta,
                   infectious_steps, seed):
-    """Synchronous SIR gathering each step's contacts vertex by vertex.
+    """Synchronous SIR simulated step by step.
 
-    Concatenates the adjacency slice of every infectious vertex in
-    increasing id, draws one uniform per contact and returns the number
-    of vertices ever infected.
+    Seeds as the package does, then at every step concatenates the
+    adjacency slice of every infectious vertex in increasing id, draws
+    one uniform per contact and returns the number of vertices ever
+    infected.
     """
     import numpy as np
 
@@ -390,3 +391,23 @@ def sir_reference(indptr, indices, immunized, init_frac, beta,
             timer[new] = infectious_steps
             total += int(new.size)
     return total
+
+
+def reachable_reference(n, edges, immunized, seeds):
+    """How many vertices breadth-first search reaches from ``seeds`` over
+    the undirected ``edges`` without entering an ``immunized`` vertex,
+    seeds included."""
+    neighbors = [[] for _ in range(n)]
+    for u, v in edges:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    blocked = set(immunized)
+    seen = set(seeds)
+    queue = deque(seeds)
+    while queue:
+        u = queue.popleft()
+        for v in neighbors[u]:
+            if v not in seen and v not in blocked:
+                seen.add(v)
+                queue.append(v)
+    return len(seen)

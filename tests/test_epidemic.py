@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.stats import ks_2samp
 
 from netrecon import (
     Graph,
@@ -14,7 +16,7 @@ from netrecon import (
     select_immunized,
     sir_run,
 )
-from oracles import sir_reference
+from oracles import reachable_reference, sir_reference
 
 
 def star(n):
@@ -248,20 +250,74 @@ def test_immunizing_hubs_shrinks_epidemics(bench):
     assert out_top.mean < out_none.mean
 
 
-def test_sir_matches_per_vertex_gather(bench):
-    """The vectorized contact gather draws in the same order as a
-    per-vertex concatenation, so every epidemic has the same size."""
-    # vertices 250..259 are isolated: they can be seeded but spread nothing
+def _step_reference(g, immunized, p, seed):
+    return sir_reference(g.indptr, g.indices, immunized, p.init_frac, p.beta,
+                         p.infectious_steps, seed)
+
+
+@pytest.mark.parametrize("isolated", [0, 10])
+@pytest.mark.parametrize("budget", [0, 15])
+def test_sir_size_law_matches_step_reference(bench, isolated, budget):
+    """The percolation form and the step-by-step simulation give the same
+    law of the final size: two-sample KS over 2000 disjoint seeds each.
+    A per-step probability beta in place of q = 1 - (1 - beta)^T makes
+    the epidemics far smaller and fails this test."""
+    # isolated vertices can be seeded but spread nothing
+    g = Graph.from_edges(bench.n + isolated, bench.edges())
+    immunized = np.sort(np.argsort(-g.degrees, kind="stable")[:budget])
+    p = SirParams(init_frac=0.02, beta=0.04, infectious_steps=4)
+    ours = [sir_run(g, immunized, p, seed) for seed in range(2000)]
+    ref = [_step_reference(g, immunized, p, seed)
+           for seed in range(10**5, 10**5 + 2000)]
+    assert ks_2samp(ours, ref).pvalue > 1e-3
+
+
+def test_sir_matches_step_reference_at_beta_zero_and_one(bench):
+    """At beta 0 only the seeds fall ill and at beta 1 their whole
+    component does, in both forms; the seed draw comes first in both, so
+    every epidemic has the same size."""
     g = Graph.from_edges(260, bench.edges())
-    cases = [
-        (np.zeros(0, dtype=np.int64), SirParams(init_frac=0.02, beta=0.2)),
-        (np.arange(0, 260, 9), SirParams(init_frac=0.03, beta=0.3,
-                                         infectious_steps=2)),
-        (np.array([1, 5]), SirParams(init_frac=0.05, beta=0.0)),
-        (np.arange(100, 140), SirParams(init_frac=0.01, beta=1.0)),
-    ]
-    for immunized, p in cases:
-        for seed in range(50):
-            assert sir_run(g, immunized, p, seed) == sir_reference(
-                g.indptr, g.indices, immunized, p.init_frac, p.beta,
-                p.infectious_steps, seed)
+    immunized_sets = [np.zeros(0, dtype=np.int64), np.arange(0, 260, 9),
+                      np.array([1, 5]), np.arange(100, 140)]
+    for immunized in immunized_sets:
+        for beta in (0.0, 1.0):
+            p = SirParams(init_frac=0.01, beta=beta, infectious_steps=2)
+            for seed in range(50):
+                assert sir_run(g, immunized, p, seed) == _step_reference(
+                    g, immunized, p, seed)
+
+
+@st.composite
+def immunized_graphs(draw):
+    """A small graph, an immunized set leaving at least one vertex, and
+    an initial fraction seeding at most the rest."""
+    n = draw(st.integers(1, 12))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pairs, max_size=30))
+    immunized = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n - 1)))
+    n_seed = draw(st.integers(1, n - len(immunized)))
+    return n, edges, immunized, n_seed / n
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=immunized_graphs(), seed=st.integers(0, 2**32 - 1),
+       steps=st.integers(1, 4))
+def test_sir_at_beta_one_reaches_the_seeds_components(case, seed, steps):
+    n, edges, immunized, init_frac = case
+    g = Graph.from_edges(n, edges)
+    immunized = np.array(immunized, dtype=np.int64)
+    p = SirParams(init_frac=init_frac, beta=1.0, infectious_steps=steps)
+    # the seed draw sir_run documents: uniform among the non-immunized
+    pool = np.setdiff1d(np.arange(n), immunized)
+    seeds = np.random.default_rng(seed).choice(
+        pool, size=max(1, round(init_frac * n)), replace=False)
+    assert sir_run(g, immunized, p, seed) == reachable_reference(
+        n, edges, immunized.tolist(), seeds.tolist())
+
+
+def test_sir_rejects_out_of_range_immunized_ids():
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    params = SirParams(init_frac=1 / 3, beta=0.5)
+    for bad in ([-1], [3], [0, 3]):
+        with pytest.raises(ValueError, match=r"immunized ids must lie in \[0, n\)"):
+            sir_run(g, np.array(bad), params, seed=0)
