@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, frozen_array
 
 __all__ = [
     "CategoryDistribution",
@@ -89,13 +89,13 @@ def discretized_normal(g: int) -> CategoryDistribution:
 
 @dataclass(frozen=True)
 class AttributeMap:
-    """Category per vertex, values in ``[1, g]``."""
+    """Category per vertex, values in ``[1, g]``; ``values`` is read-only."""
 
     values: np.ndarray
     g: int
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.int64)
+        arr = frozen_array(self.values, dtype=np.int64)
         if arr.ndim != 1:
             raise ValueError("values must be one-dimensional")
         if arr.size and (arr.min() < 1 or arr.max() > self.g):
@@ -166,7 +166,7 @@ def make_assortative(g: Graph, attrs: AttributeMap, attempts: int,
     rng = np.random.default_rng(seed)
     n = g.n
     if n < 2:
-        return AttributeMap(attrs.values.copy(), attrs.g)
+        return attrs
     a = attrs.values.tolist()
     indptr, indices = g.indptr.tolist(), g.indices.tolist()
     neighbors = [indices[indptr[v]:indptr[v + 1]] for v in range(n)]

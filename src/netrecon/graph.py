@@ -3,7 +3,8 @@
 The graph is stored in compressed sparse row form (``indptr``/``indices``)
 with every neighbor list sorted, so edge queries are binary searches and
 degree reads are pointer arithmetic.  Graphs are immutable after
-construction; anything that "modifies" a graph builds a new one.
+construction, their arrays read-only; anything that "modifies" a graph
+builds a new one.
 """
 
 from __future__ import annotations
@@ -14,12 +15,27 @@ import numpy as np
 
 __all__ = [
     "Graph",
+    "frozen_array",
     "load_edge_list",
     "write_edge_list",
     "read_partition",
     "write_partition",
     "open_text",
 ]
+
+
+def frozen_array(a, dtype=None) -> np.ndarray:
+    """``a`` as a read-only array.
+
+    A writable array passed in is copied first, so the caller's own
+    array stays writable.
+    """
+    arr = np.asarray(a, dtype=dtype)
+    if (isinstance(a, np.ndarray) and arr.flags.writeable
+            and np.may_share_memory(arr, a)):
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
 
 
 class Graph:
@@ -35,11 +51,11 @@ class Graph:
     m : int
         Number of (undirected) edges.
     indptr, indices : ndarray
-        CSR adjacency; ``indices[indptr[v]:indptr[v+1]]`` is the sorted
-        neighbor list of ``v``.
+        CSR adjacency, read-only; ``indices[indptr[v]:indptr[v+1]]`` is
+        the sorted neighbor list of ``v``.
     labels : ndarray or None
         Original vertex labels when the graph came from a file whose
-        labels were compacted, indexed by dense id.
+        labels were compacted, indexed by dense id; read-only.
     dropped_duplicates, dropped_self_loops : int
         How many input edges were discarded during construction.
     """
@@ -57,10 +73,10 @@ class Graph:
     def __init__(self, n, indptr, indices, labels=None,
                  dropped_duplicates=0, dropped_self_loops=0):
         self.n = int(n)
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
+        self.indptr = frozen_array(indptr, dtype=np.int64)
+        self.indices = frozen_array(indices, dtype=np.int64)
         self.m = int(len(self.indices)) // 2
-        self.labels = None if labels is None else np.asarray(labels)
+        self.labels = None if labels is None else frozen_array(labels)
         self.dropped_duplicates = int(dropped_duplicates)
         self.dropped_self_loops = int(dropped_self_loops)
 
@@ -107,7 +123,7 @@ class Graph:
     # -- queries ---------------------------------------------------------
 
     def neighbors(self, v: int) -> np.ndarray:
-        """Sorted neighbor ids of ``v`` (a view, do not mutate)."""
+        """Sorted neighbor ids of ``v`` (a read-only view)."""
         if not 0 <= v < self.n:
             raise IndexError(f"vertex {v} out of range [0, {self.n})")
         return self.indices[self.indptr[v]:self.indptr[v + 1]]

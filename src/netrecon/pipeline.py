@@ -15,6 +15,13 @@ recorded in ``errors.csv`` and the sweep continues.  All randomness is
 derived from the master seed and parameter *values*, so a rerun of the
 same config writes byte-identical tables, sweep-axis order does not
 matter, and --jobs only changes wall time, never content.
+
+The metric tasks run in groups, one per (mu, repetition): every sweep
+point of a group shares one underlying network, so the group computes
+the network, each attribute map and the underlying partition once, in
+a memo that lives for that group only.  --jobs spreads the groups, not
+the points, over worker processes.  The epidemic tasks and the single
+stage commands run without a memo.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ import csv
 import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
-from functools import lru_cache
 
 import numpy as np
 
@@ -75,9 +81,17 @@ def _param_cells(cfg: ExperimentConfig, point: SweepPoint, rep) -> list[str]:
             _fmt(point.n_t_frac), str(rep)]
 
 
-@lru_cache(maxsize=4)
-def _load_edgelist(path: str) -> Graph:
-    return load_edge_list(path)
+def _memoized(memo: dict | None, key: tuple, build):
+    """``build()``, computed once per ``key`` when a ``memo`` is given.
+
+    A build that raises stores nothing, so each point that needs the
+    artifact tries again and records its own error.
+    """
+    if memo is None:
+        return build()
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
 
 
 def _lfr_params(cfg: ExperimentConfig, point: SweepPoint, rep) -> LfrParams:
@@ -87,11 +101,14 @@ def _lfr_params(cfg: ExperimentConfig, point: SweepPoint, rep) -> LfrParams:
                      seed=derive_seed(cfg.seed, "generate", repr(point.mu), rep))
 
 
-def _network(cfg: ExperimentConfig, point: SweepPoint, rep) -> Graph:
-    if cfg.network == "edgelist":
-        return _load_edgelist(cfg.edgelist_path)
-    graph, _ = generate_lfr_like(_lfr_params(cfg, point, rep))
-    return graph
+def _network(cfg: ExperimentConfig, point: SweepPoint, rep,
+             memo: dict | None = None) -> Graph:
+    def build() -> Graph:
+        if cfg.network == "edgelist":
+            return load_edge_list(cfg.edgelist_path)
+        graph, _ = generate_lfr_like(_lfr_params(cfg, point, rep))
+        return graph
+    return _memoized(memo, ("network", point.mu, rep), build)
 
 
 def _distribution(cfg: ExperimentConfig, g: int) -> CategoryDistribution:
@@ -100,17 +117,23 @@ def _distribution(cfg: ExperimentConfig, g: int) -> CategoryDistribution:
     return discretized_normal(g)
 
 
-def _attributes(cfg: ExperimentConfig, point: SweepPoint, rep,
-                graph: Graph) -> tuple[AttributeMap, CategoryDistribution]:
+def _attributes(cfg: ExperimentConfig, point: SweepPoint, rep, graph: Graph,
+                memo: dict | None = None
+                ) -> tuple[AttributeMap, CategoryDistribution]:
+    """Categories of ``graph``, the network of (point.mu, rep)."""
     dist = _distribution(cfg, point.g)
-    attrs = assign_attributes(
-        graph.n, dist,
-        derive_seed(cfg.seed, "attributes", point.g, cfg.distribution, rep))
-    if point.assortative:
-        attrs = make_assortative(
-            graph, attrs, cfg.assort_attempts_per_vertex * graph.n,
-            derive_seed(cfg.seed, "assortative", point.g, rep))
-    return attrs, dist
+
+    def build() -> AttributeMap:
+        attrs = assign_attributes(
+            graph.n, dist,
+            derive_seed(cfg.seed, "attributes", point.g, cfg.distribution, rep))
+        if point.assortative:
+            attrs = make_assortative(
+                graph, attrs, cfg.assort_attempts_per_vertex * graph.n,
+                derive_seed(cfg.seed, "assortative", point.g, rep))
+        return attrs
+    key = ("attributes", point.mu, point.g, point.assortative, rep)
+    return _memoized(memo, key, build), dist
 
 
 def _communities(cfg: ExperimentConfig, point: SweepPoint, rep, graph: Graph,
@@ -168,7 +191,8 @@ def _reconstruct(cfg: ExperimentConfig, point: SweepPoint, rep, n: int,
 
 
 def _score(cfg: ExperimentConfig, point: SweepPoint, rep, graph: Graph,
-           forest: SampleForest, result: ReconResult):
+           forest: SampleForest, result: ReconResult,
+           memo: dict | None = None):
     """Precision, community and rank rows of one reconstruction.
 
     ``graph`` is the underlying network and ``forest`` carries its truth.
@@ -206,9 +230,16 @@ def _score(cfg: ExperimentConfig, point: SweepPoint, rep, graph: Graph,
         errors.append(cells + ["community", str(exc)])
         return rows_prec, rows_comm, rows_rank, errors
 
+    def underlying() -> tuple:
+        props = vertex_properties(
+            graph, _communities(cfg, point, rep, graph, "underlying"))
+        for a in props:
+            a.flags.writeable = False
+        return props
+
     try:
-        under_labels = _communities(cfg, point, rep, graph, "underlying")
-        u_deg, u_kout, u_emb = vertex_properties(graph, under_labels)
+        u_deg, u_kout, u_emb = _memoized(memo, ("underlying", point.mu, rep),
+                                         underlying)
         r_deg, r_kout, r_emb = vertex_properties(result.graph, recon_labels)
         for name, uvals, rvals in (("degree", u_deg, r_deg),
                                    ("k_out", u_kout, r_kout),
@@ -224,20 +255,27 @@ def _score(cfg: ExperimentConfig, point: SweepPoint, rep, graph: Graph,
     return rows_prec, rows_comm, rows_rank, errors
 
 
-def metric_rows_for_point(cfg: ExperimentConfig, point: SweepPoint, rep: int):
-    """Compute one repetition's precision/community/rank rows."""
+def metric_rows_for_point(cfg: ExperimentConfig, point: SweepPoint, rep: int,
+                          memo: dict | None = None):
+    """Compute one repetition's precision/community/rank rows.
+
+    ``memo``, shared by the points of one (mu, rep) group, keeps the
+    network, the attribute maps and the underlying vertex properties
+    between them; each is keyed on the values its seed uses, so the
+    rows are the same with or without it.
+    """
     errors: list[list[str]] = []
     cells = _param_cells(cfg, point, rep)
     try:
-        graph = _network(cfg, point, rep)
-        attrs, dist = _attributes(cfg, point, rep, graph)
+        graph = _network(cfg, point, rep, memo)
+        attrs, dist = _attributes(cfg, point, rep, graph, memo)
         forest = _sample(cfg, point, rep, graph, attrs)
         result = _reconstruct(cfg, point, rep, graph.n, forest, dist, errors)
     except Exception as exc:  # config-level/feasibility failures
         errors.append(cells + ["setup", str(exc)])
         return [], [], [], errors
     rows_prec, rows_comm, rows_rank, score_errors = _score(
-        cfg, point, rep, graph, forest, result)
+        cfg, point, rep, graph, forest, result, memo)
     return rows_prec, rows_comm, rows_rank, errors + score_errors
 
 
@@ -301,9 +339,17 @@ def epidemic_rows_for_point(cfg: ExperimentConfig, method: str,
 # -- top-level driver ------------------------------------------------------
 
 
-def _metric_task(args):
-    cfg, point, rep = args
-    return metric_rows_for_point(cfg, point, rep)
+def _metric_group_task(args):
+    """The rows of the (point, rep) tasks of one (mu, rep) group, in order.
+
+    The memo is passed by keyword, so a wrapper installed on the module
+    global sees the same positional (cfg, point, rep) as an unmemoized
+    call.
+    """
+    cfg, tasks = args
+    memo: dict = {}
+    return [metric_rows_for_point(cfg, point, rep, memo=memo)
+            for point, rep in tasks]
 
 
 def _epidemic_task(args):
@@ -348,10 +394,20 @@ def run_pipeline(cfg: ExperimentConfig, jobs: int = 1,
 
     written: dict[str, str] = {}
     if stage in ("all", "metrics"):
-        tasks = [(cfg, point, rep)
+        tasks = [(point, rep)
                  for point in cfg.points()
                  for rep in range(cfg.repetitions)]
-        for rp, rc, rr, errs in _map_tasks(_metric_task, tasks, jobs):
+        groups: dict[tuple, list[int]] = {}
+        for i, (point, rep) in enumerate(tasks):
+            groups.setdefault((point.mu, rep), []).append(i)
+        results: list = [None] * len(tasks)
+        group_rows = _map_tasks(
+            _metric_group_task,
+            [(cfg, [tasks[i] for i in idx]) for idx in groups.values()], jobs)
+        for idx, rows in zip(groups.values(), group_rows):
+            for i, r in zip(idx, rows):
+                results[i] = r
+        for rp, rc, rr, errs in results:
             rows_prec.extend(rp)
             rows_comm.extend(rc)
             rows_rank.extend(rr)

@@ -103,6 +103,19 @@ def test_attribute_map_round_trip(tmp_path):
     assert (a.values == b.values).all() and b.g == 9
 
 
+def test_attribute_map_values_are_read_only():
+    values = np.array([1, 2, 3])
+    attrs = AttributeMap(values, g=3)
+    with pytest.raises(ValueError, match="read-only"):
+        attrs.values[0] = 2
+    values[0] = 2  # the caller's array was copied, not frozen
+    assert attrs.values.tolist() == [1, 2, 3]
+    shuffled = make_assortative(Graph.from_edges(3, [(0, 1), (1, 2)]),
+                                attrs, attempts=10, seed=0)
+    with pytest.raises(ValueError, match="read-only"):
+        shuffled.values[0] = 2
+
+
 def test_edge_discrepancy_hand_case():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     attrs = AttributeMap(np.array([1, 1, 5, 5]), g=5)

@@ -128,3 +128,20 @@ def test_partition_round_trip(tmp_path):
     back = read_partition(path)
     assert (back == values).all()
     assert (read_partition(path, n=5) == values).all()
+
+
+def test_graph_arrays_are_read_only():
+    g = load_edge_list(io.StringIO("10 20\n20 30\n"))
+    for arr in (g.indptr, g.indices, g.labels, g.neighbors(1)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 5
+    # the caller's own arrays are copied, not frozen
+    indptr = np.array([0, 1, 2])
+    indices = np.array([1, 0])
+    h = Graph(2, indptr, indices)
+    indptr[0] = 0
+    indices[0] = 1
+    assert not h.indptr.flags.writeable
+    # a graph built from another graph's arrays shares them
+    k = Graph(h.n, h.indptr, h.indices)
+    assert k.indices is h.indices

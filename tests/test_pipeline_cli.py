@@ -4,12 +4,16 @@ import csv
 
 import pytest
 
+from netrecon import pipeline
 from netrecon.cli import main
 from netrecon.config import parse_config
+from netrecon.generate import LfrParams, generate_lfr_like
+from netrecon.graph import write_edge_list
 from netrecon.pipeline import (
     EPIDEMIC_HEADER,
     ERROR_HEADER,
     METRIC_HEADER,
+    metric_rows_for_point,
     run_id_for,
     run_pipeline,
 )
@@ -136,6 +140,109 @@ def test_pipeline_records_stalls_and_continues(tmp_path):
     # the sweep still completed and wrote every table
     assert set(written) == {"precision", "community", "rank", "epidemic",
                             "errors"}
+
+
+# Two (mu, rep) groups per mu, each holding the four method x assortative
+# points: the sweep shape the per-group memo serves.
+GROUPED = (TINY.replace("method = rpm", "method = rpm, hpm")
+           .replace("mu = 0.3", "mu = 0.2, 0.3") + "assortative = false, true\n")
+TABLES = ("precision", "community", "rank", "errors")
+
+
+def unmemoized_tables(cfg):
+    """The four tables' rows from memo-free per-point calls, in sweep order."""
+    tables = {name: [] for name in TABLES}
+    for point in cfg.points():
+        for rep in range(cfg.repetitions):
+            for name, rows in zip(TABLES, metric_rows_for_point(cfg, point, rep)):
+                tables[name].extend(rows)
+    return tables
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_memoized_sweep_matches_unmemoized_points(tmp_path, jobs):
+    cfg, written = run_tiny(tmp_path, GROUPED, f"jobs{jobs}", jobs=jobs,
+                            stage="metrics")
+    assert len(cfg.points()) == 8
+    expected = unmemoized_tables(cfg)
+    assert len(expected["precision"]) == 16
+    for name in TABLES:
+        assert read_table(written[name])[1:] == expected[name], name
+
+
+def counting(calls, fn):
+    def wrapper(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        calls.append((args, out))
+        return out
+    return wrapper
+
+
+def test_memo_computes_each_artifact_once_per_key(tmp_path, monkeypatch):
+    gen, shuffle, det = [], [], []
+    monkeypatch.setattr(pipeline, "generate_lfr_like",
+                        counting(gen, pipeline.generate_lfr_like))
+    monkeypatch.setattr(pipeline, "make_assortative",
+                        counting(shuffle, pipeline.make_assortative))
+    monkeypatch.setattr(pipeline, "detect", counting(det, pipeline.detect))
+    run_tiny(tmp_path, GROUPED, "count", stage="metrics")
+
+    # one network per (mu, rep): its seed carries mu and rep
+    keys = [(p.mu, p.seed) for (p,), _ in gen]
+    assert len(keys) == len(set(keys)) == 2 * 2
+    networks = [out[0] for _, out in gen]
+    # one shuffle per (network, g, rep): its seed carries g and rep
+    keys = [(id(args[0]), args[3]) for args, _ in shuffle]
+    assert len(keys) == len(set(keys)) == 2 * 2
+    assert {id(args[0]) for args, _ in shuffle} == {id(g) for g in networks}
+    # one underlying detect per network
+    under = [id(args[0]) for args, _ in det
+             if any(args[0] is g for g in networks)]
+    assert sorted(under) == sorted(id(g) for g in networks)
+
+
+def test_failed_artifact_is_not_memoized(tmp_path, monkeypatch):
+    calls = []
+
+    def broken(params):
+        calls.append(params)
+        raise RuntimeError("generator down")
+
+    monkeypatch.setattr(pipeline, "generate_lfr_like", broken)
+    cfg, written = run_tiny(tmp_path, GROUPED, "fail", stage="metrics")
+    errors = read_table(written["errors"])[1:]
+    expected = sorted(run_id_for(point, rep) for point in cfg.points()
+                      for rep in range(cfg.repetitions))
+    assert sorted(r[0] for r in errors) == expected
+    assert {(r[-2], r[-1]) for r in errors} == {("setup", "generator down")}
+    assert len(calls) == len(expected)
+    assert read_table(written["precision"]) == [METRIC_HEADER]
+
+
+def test_edge_list_is_reread_on_every_run(tmp_path):
+    """Two in-process runs on one edge-list path follow the file's
+    content at the time of each run."""
+    path = tmp_path / "net.edges"
+    text = TINY.replace("network = lfr", "network = edgelist").replace(
+        "mu = 0.3", f"edgelist_path = {path}")
+
+    def run(name, seed):
+        graph, _ = generate_lfr_like(LfrParams(
+            n=120, k_avg=6, k_max=15, mu=0.3, tau1=3.0, tau2=1.0, c_min=8,
+            c_max=30, seed=seed))
+        write_edge_list(graph, path)
+        _, written = run_tiny(tmp_path, text, name, stage="metrics")
+        return {k: read_table(v) for k, v in written.items()}
+
+    first = run("a", seed=1)
+    second = run("b", seed=2)
+    assert first["precision"] != second["precision"]
+    assert run("c", seed=1) == first
+    path.write_text("# no edges\n")
+    _, written = run_tiny(tmp_path, text, "d", stage="metrics")
+    errors = read_table(written["errors"])[1:]
+    assert len(errors) == 2
+    assert all(r[-2:] == ["setup", "edge list is empty"] for r in errors)
 
 
 def test_run_id_is_stable():
