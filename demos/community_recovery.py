@@ -11,11 +11,10 @@ evidence carries community information too.
 
 import numpy as np
 
-from netrecon import (DetectorConfig, LfrParams, ReconstructionStalled,
-                      assign_attributes, detect, discretized_normal,
-                      elicit_friends, generate_lfr_like, make_assortative,
-                      modularity, nmi, project, reconstruct, sample_paths,
-                      true_network)
+from netrecon import (LfrParams, ReconstructionStalled, assign_attributes,
+                      detect, discretized_normal, elicit_friends,
+                      generate_lfr_like, make_assortative, modularity, nmi,
+                      project, reconstruct, sample_paths, true_network)
 
 params = LfrParams(n=600, k_avg=10, k_max=30, mu=0.1, tau1=2.5, tau2=1,
                    c_min=15, c_max=50, seed=31)
@@ -37,9 +36,9 @@ for name, attrs in (("independent labels", base),
         res = stall.partial
 
     # communities on the reconstruction vs. on the true sampled subgraph
-    found = detect(res.graph, DetectorConfig(seed=37))
+    found = detect(res.graph, seed=37)
     tnet, _ = true_network(forest)
-    truth = detect(tnet, DetectorConfig(seed=38))
+    truth = detect(tnet, seed=38)
 
     # align the two partitions: each reconstructed vertex projects to the
     # person most of its member occurrences point at

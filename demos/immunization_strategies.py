@@ -61,8 +61,7 @@ strategies = (
 )
 print(f"{'strategy':<28} mean outbreak size")
 for label, kind in strategies:
-    spec = StrategySpec(kind=kind, budget=budget, property="degree",
-                        ensemble_size=ENSEMBLE)
+    spec = StrategySpec(kind=kind, budget=budget, property="degree")
     out = evaluate_strategy(net, spec, sir, runs, seed=200,
                             ensemble=ensemble, projections=projections)
     print(f"{label:<28} {out.mean:8.1f} ± {out.std:.1f}")

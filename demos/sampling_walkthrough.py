@@ -45,13 +45,13 @@ shown = first[:16]
 print("\nfirst tree, as the interviewer sees it:")
 for occ in shown:
     occ = int(occ)
-    d = forest.description(occ)
+    lo, hi = int(forest.lo[occ]), int(forest.hi[occ])
     p = int(forest.parent[occ])
     if forest.kind[occ] == RESPONDENT:
         role = "respondent (seed)" if p < 0 else f"respondent, recruited by #{p}"
     else:
         role = f"friend named by #{p}"
-    span = f"category {d.lo}" if d.lo == d.hi else f"categories {d.lo}-{d.hi}"
+    span = f"category {lo}" if lo == hi else f"categories {lo}-{hi}"
     print(f"  #{occ:<3d} {role:<29} -> {span}")
 if first.size > shown.size:
     print(f"  ... and {first.size - shown.size} more occurrences in this tree")

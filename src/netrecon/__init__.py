@@ -17,7 +17,7 @@ from .attributes import (
     make_assortative,
     uniform_distribution,
 )
-from .communities import DetectorConfig, detect, modularity
+from .communities import detect, modularity
 from .epidemic import (
     EpidemicOutcome,
     SirParams,
@@ -44,13 +44,11 @@ from .reconstruct import (
     ReconState,
     ReconstructionStalled,
     pair_probability,
-    pr_description,
     reconstruct,
 )
 from .sampling import (
     FRIEND,
     RESPONDENT,
-    Description,
     SampleForest,
     elicit_friends,
     read_forest,

@@ -50,12 +50,6 @@ class CategoryDistribution:
             raise ValueError("probabilities must sum to 1 within 1e-12")
         object.__setattr__(self, "p", arr)
 
-    def prob(self, category: int):
-        """Probability of a single category."""
-        if not 1 <= category <= self.g:
-            raise ValueError(f"category {category} outside [1, {self.g}]")
-        return self.p[category - 1]
-
     def interval_prob(self, lo: int, hi: int):
         """Total probability of categories ``lo..hi`` inclusive."""
         if lo > hi:

@@ -1,40 +1,21 @@
 """Community detection by greedy modularity optimization.
 
-The detector runs local vertex moves to a local modularity optimum,
-aggregates communities into super-vertices, and repeats on the smaller
-weighted graph until no move improves modularity — then maps labels back
-down.  It is deterministic for a fixed seed and works per connected
-component (a vertex never joins a community it has no edge into, so
-communities cannot span components).
+:func:`detect` maximizes plain Newman-Girvan :func:`modularity`: local
+vertex moves reach a local optimum, communities are aggregated into
+super-vertices, and this repeats on the smaller weighted graph until no
+move improves modularity — then labels are mapped back down.  Its seed
+only orders the vertex sweeps.  It works per connected component (a
+vertex never joins a community it has no edge into, so communities
+cannot span components).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Graph
 
-__all__ = ["DetectorConfig", "detect", "modularity"]
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    """Which detector to run and how.
-
-    method: detector name, only "greedy-modularity"; resolution:
-    modularity resolution (> 0, 1.0 = plain modularity); seed: RNG seed
-    for sweep order.
-    """
-
-    method: str = "greedy-modularity"
-    resolution: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.resolution <= 0:
-            raise ValueError("resolution must be positive")
+__all__ = ["detect", "modularity"]
 
 
 def modularity(g: Graph, partition: np.ndarray) -> float:
@@ -60,7 +41,7 @@ def modularity(g: Graph, partition: np.ndarray) -> float:
 
 
 def _local_moves(adj: list[dict[int, float]], loops: np.ndarray,
-                 rng: np.random.Generator, resolution: float):
+                 rng: np.random.Generator):
     """One level of greedy vertex moves; returns (labels, any_moved)."""
     n = len(adj)
     strength = np.array([sum(a.values()) for a in adj]) + 2.0 * loops
@@ -80,11 +61,11 @@ def _local_moves(adj: list[dict[int, float]], loops: np.ndarray,
                 w_c[cj] = w_c.get(cj, 0.0) + w
             tot[ci] -= strength[i]
             best_c = ci
-            best_gain = w_c.get(ci, 0.0) - resolution * strength[i] * tot[ci] / two_m
+            best_gain = w_c.get(ci, 0.0) - strength[i] * tot[ci] / two_m
             for c in sorted(w_c):
                 if c == ci:
                     continue
-                gain = w_c[c] - resolution * strength[i] * tot[c] / two_m
+                gain = w_c[c] - strength[i] * tot[c] / two_m
                 if gain > best_gain + 1e-12:
                     best_c, best_gain = c, gain
             tot[best_c] += strength[i]
@@ -125,17 +106,17 @@ def _dense_by_first_appearance(labels: np.ndarray) -> np.ndarray:
     return out
 
 
-def _greedy_modularity(g: Graph, config: DetectorConfig):
+def _greedy_modularity(g: Graph, seed: int):
     """Returns (assignment, adj, loops): each vertex's super-vertex at
     the top level, and that level's weighted graph."""
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     adj: list[dict[int, float]] = [
         {int(j): 1.0 for j in g.neighbors(v)} for v in range(g.n)
     ]
     loops = np.zeros(g.n)
     assignment = np.arange(g.n)  # original vertex -> current super-vertex
     for _ in range(100):
-        comm, moved = _local_moves(adj, loops, rng, config.resolution)
+        comm, moved = _local_moves(adj, loops, rng)
         if not moved:
             break
         adj, loops, dense = _aggregate(adj, loops, comm)
@@ -143,15 +124,12 @@ def _greedy_modularity(g: Graph, config: DetectorConfig):
     return assignment, adj, loops
 
 
-def detect(g: Graph, config: DetectorConfig | None = None) -> np.ndarray:
+def detect(g: Graph, seed: int = 0) -> np.ndarray:
     """Detect communities; returns a dense label per vertex.
 
-    Deterministic for a fixed config.  Isolated vertices always come out
-    as singleton communities.  Unknown method names raise.
+    Deterministic for a fixed ``seed``, which orders the vertex sweeps.
+    Isolated vertices always come out as singleton communities.
     """
-    cfg = config or DetectorConfig()
-    if cfg.method != "greedy-modularity":
-        raise ValueError(f"unknown detection method {cfg.method!r}")
     if g.n == 0:
         return np.zeros(0, dtype=np.int64)
-    return _dense_by_first_appearance(_greedy_modularity(g, cfg)[0])
+    return _dense_by_first_appearance(_greedy_modularity(g, seed)[0])

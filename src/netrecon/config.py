@@ -114,6 +114,8 @@ class ExperimentConfig:
             raise ValueError("fraction-of-n rule needs n_t_frac values")
         if not 0 < self.n_r_frac <= 1:
             raise ValueError("n_r_frac must lie in (0, 1]")
+        if any(not 0 < x <= 1 for x in self.n_t_frac):
+            raise ValueError("n_t_frac values must lie in (0, 1]")
         if self.repetitions < 1 or self.ensemble < 1 or self.sir_runs < 1:
             raise ValueError("repetition counts must be positive")
         for b in self.budgets:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .communities import DetectorConfig, detect
+from .communities import detect
 from .graph import Graph
 from .metrics import vertex_properties
 from .seeding import derive_seed
@@ -79,13 +79,11 @@ class SirParams:
 @dataclass(frozen=True)
 class StrategySpec:
     """kind: one of STRATEGY_KINDS; property: ranking property for the
-    top-k kinds; budget: how many vertices to immunize; ensemble_size:
-    how many reconstructions inform the reconstructed-* kinds."""
+    top-k kinds; budget: how many vertices to immunize."""
 
     kind: str
     budget: int
     property: str = "degree"
-    ensemble_size: int = 100
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
@@ -94,8 +92,6 @@ class StrategySpec:
             raise ValueError(f"unknown ranking property {self.property!r}")
         if self.budget < 0:
             raise ValueError("budget must be nonnegative")
-        if self.ensemble_size < 1:
-            raise ValueError("ensemble_size must be positive")
 
 
 @dataclass(frozen=True)
@@ -159,7 +155,7 @@ def _ranking_values(graph: Graph, prop: str, seed: int) -> np.ndarray:
     """Property values used for top-k ranking on one graph."""
     if prop == "degree":
         return graph.degrees.astype(float)
-    part = detect(graph, DetectorConfig(seed=derive_seed(seed, "detect")))
+    part = detect(graph, seed=derive_seed(seed, "detect"))
     deg, k_out, emb = vertex_properties(graph, part)
     return k_out.astype(float) if prop == "k_out" else emb
 

@@ -200,8 +200,8 @@ def _fix_parity(degrees, ext, labels, n_comm, rng):
     return degrees, ext, internal
 
 
-def _havel_hakimi_edges(members: np.ndarray, targets: np.ndarray,
-                        rng: np.random.Generator) -> list[tuple[int, int]]:
+def _havel_hakimi_edges(members: np.ndarray,
+                        targets: np.ndarray) -> list[tuple[int, int]]:
     """Simple graph on ``members`` hitting ``targets`` degrees exactly.
 
     Standard largest-first construction; realizes every graphical
@@ -270,8 +270,7 @@ def _randomize_edges(edges: list[tuple[int, int]], rng: np.random.Generator,
 
 
 def _match_stubs(stubs: np.ndarray, rng: np.random.Generator,
-                 labels: np.ndarray, existing: set,
-                 passes: int = 80) -> list[tuple[int, int]]:
+                 labels: np.ndarray, passes: int = 80) -> list[tuple[int, int]]:
     """Pair stubs into simple edges crossing community labels.
 
     Collisions (self-pair, same community, duplicate) are repaired by
@@ -294,7 +293,7 @@ def _match_stubs(stubs: np.ndarray, rng: np.random.Generator,
             if bad[i]:
                 continue
             key = (int(lo[i]), int(hi[i]))
-            if key in existing or key in seen:
+            if key in seen:
                 dup[i] = True
             else:
                 seen[key] = i
@@ -312,9 +311,7 @@ def _match_stubs(stubs: np.ndarray, rng: np.random.Generator,
     edges = []
     for i in np.flatnonzero(~bad):
         u, v = int(a[i]), int(b[i])
-        key = (min(u, v), max(u, v))
-        edges.append(key)
-        existing.add(key)
+        edges.append((min(u, v), max(u, v)))
     return edges
 
 
@@ -350,11 +347,10 @@ def generate_lfr_like(params: LfrParams) -> tuple[Graph, np.ndarray]:
     edges: list[tuple[int, int]] = []
     for c in range(sizes.size):
         members = np.flatnonzero(labels == c)
-        within = _havel_hakimi_edges(members, internal[members], rng)
+        within = _havel_hakimi_edges(members, internal[members])
         edges.extend(_randomize_edges(within, rng))
-    existing: set[tuple[int, int]] = set()
     pool = np.repeat(np.arange(params.n), ext)
-    edges.extend(_match_stubs(pool, rng, labels=labels, existing=existing))
+    edges.extend(_match_stubs(pool, rng, labels=labels))
 
     graph = Graph.from_edges(params.n, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
     return graph, labels

@@ -152,24 +152,6 @@ class Graph:
         mask = rows < self.indices
         return np.column_stack([rows[mask], self.indices[mask]])
 
-    def components(self) -> np.ndarray:
-        """Connected component label per vertex (dense, by discovery order)."""
-        comp = np.full(self.n, -1, dtype=np.int64)
-        nxt = 0
-        for start in range(self.n):
-            if comp[start] >= 0:
-                continue
-            stack = [start]
-            comp[start] = nxt
-            while stack:
-                v = stack.pop()
-                for w in self.neighbors(v):
-                    if comp[w] < 0:
-                        comp[w] = nxt
-                        stack.append(int(w))
-            nxt += 1
-        return comp
-
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, m={self.m})"
 

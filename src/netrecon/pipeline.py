@@ -35,7 +35,7 @@ import numpy as np
 
 from .attributes import (AttributeMap, CategoryDistribution, assign_attributes,
                          discretized_normal, make_assortative, uniform_distribution)
-from .communities import DetectorConfig, detect
+from .communities import detect
 from .config import ExperimentConfig, SweepPoint, parse_strategy
 from .epidemic import SirParams, StrategySpec, evaluate_strategy
 from .generate import LfrParams, generate_lfr_like
@@ -144,8 +144,7 @@ def _communities(cfg: ExperimentConfig, point: SweepPoint, rep, graph: Graph,
     detector seed does too; the other two are seeded per sweep point.
     """
     token = _fmt(point.mu) if which == "underlying" else point.key()
-    return detect(graph, DetectorConfig(
-        seed=derive_seed(cfg.seed, "communities", which, token, rep)))
+    return detect(graph, seed=derive_seed(cfg.seed, "communities", which, token, rep))
 
 
 def _sizes(cfg: ExperimentConfig, point: SweepPoint, n: int):
@@ -317,8 +316,7 @@ def epidemic_rows_for_point(cfg: ExperimentConfig, method: str,
         kind, prop = parse_strategy(token)
         for budget in cfg.budgets:
             count = max(1, round(budget * graph.n))
-            spec = StrategySpec(kind=kind, budget=count, property=prop,
-                                ensemble_size=cfg.ensemble)
+            spec = StrategySpec(kind=kind, budget=count, property=prop)
             seed = derive_seed(cfg.seed, "epidemic", point.key(), kind, prop,
                                repr(budget), rep)
             try:

@@ -33,20 +33,19 @@ no time goes into rejected draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import chain
 
 import numpy as np
 
 from .attributes import CategoryDistribution
 from .graph import Graph
-from .sampling import FRIEND, RESPONDENT, Description, SampleForest
+from .sampling import FRIEND, RESPONDENT, SampleForest
 
 __all__ = [
     "MergeEvent",
     "ReconResult",
     "ReconState",
     "ReconstructionStalled",
-    "pr_description",
     "pair_probability",
     "reconstruct",
 ]
@@ -92,16 +91,6 @@ class ReconstructionStalled(RuntimeError):
         self.partial = partial
 
 
-def pr_description(description: Description, dist: CategoryDistribution):
-    """Probability mass of the category interval under ``dist``.
-
-    Returns 0 when the distribution has no support on the interval; the
-    type of the result follows the distribution's entries (floats
-    normally, exact rationals when the distribution holds Fractions).
-    """
-    return dist.interval_prob(description.lo, description.hi)
-
-
 class ReconState:
     """Mutable state of a coalescing run.
 
@@ -145,12 +134,7 @@ class ReconState:
             self.adj[p].add(int(c))
             self.adj[int(c)].add(p)
         # cumulative masses for O(1) interval probabilities; length g+1
-        p = dist.p
-        if p.dtype == object:
-            self._cum = list(accumulate(p, initial=p[0] - p[0]))
-            self._cumf = np.array([float(x) for x in self._cum])
-        else:
-            self._cum = self._cumf = np.concatenate([[0.0], np.cumsum(p)])
+        self._cum = np.concatenate([[0.0], np.cumsum(dist.p, dtype=float)])
         self._resp = self.kind == RESPONDENT
         self._friend = (self.kind == FRIEND).tolist()  # for Python loops
         self._mass = self._slot_mass(np.arange(n))
@@ -165,12 +149,6 @@ class ReconState:
 
     # -- probabilities ---------------------------------------------------
 
-    def interval_prob(self, lo: int, hi: int):
-        """Mass of categories lo..hi via the cached cumulative sums."""
-        val = self._cum[hi] - self._cum[lo - 1]
-        zero = self._cum[0]
-        return val if val > zero else zero
-
     def _forbidden(self, i: int) -> list[int]:
         """Groups an adjacency rule keeps from merging with i: its
         neighbors and, for a friend, the friends of its respondents."""
@@ -183,7 +161,7 @@ class ReconState:
     def _slot_mass(self, i):
         """Pr of the descriptions of groups i; 1 for a respondent, whose
         pairs take their mass from the friend's side."""
-        cum = self._cumf
+        cum = self._cum
         return np.where(self._resp[i], 1.0,
                         np.maximum(cum[self.hi[i]] - cum[self.lo[i] - 1], 0.0))
 
@@ -205,7 +183,7 @@ class ReconState:
         adjacency rules of :meth:`_forbidden`: 1 / (n_t Pr(d_f)) for a
         respondent and a friend, Pr(d_u ∩ d_v) / (n_t Pr(d_u) Pr(d_v))
         for two friends."""
-        lo, hi, cum, mass = self.lo, self.hi, self._cumf, self._mass
+        lo, hi, cum, mass = self.lo, self.hi, self._cum, self._mass
         num = np.maximum(cum[np.minimum(hi[i], hi[j])]
                          - cum[np.maximum(lo[i], lo[j]) - 1], 0.0)
         num[self._resp[i] | self._resp[j]] = 1.0
@@ -340,8 +318,9 @@ def pair_probability(state: ReconState, a: int, b: int):
     a structural rule forbids the merge (two respondents, current
     adjacency, category mismatch, shared respondent neighbor, or a
     description with no support under the distribution).  The scalar
-    reference for ``state.W``: exact rationals when the distribution
-    holds Fractions.
+    reference for ``state.W``: each mass Pr(d) comes from
+    ``state.dist.interval_prob``, so floats match ``W`` up to rounding
+    and a distribution of Fractions gives exact rationals.
     """
     if a == b:
         raise ValueError("a pair needs two distinct groups")
@@ -360,17 +339,17 @@ def pair_probability(state: ReconState, a: int, b: int):
         hi = min(state.hi[a], state.hi[b])
         if lo > hi:
             return 0.0
-        pa = state.interval_prob(int(state.lo[a]), int(state.hi[a]))
-        pb = state.interval_prob(int(state.lo[b]), int(state.hi[b]))
+        pa = state.dist.interval_prob(int(state.lo[a]), int(state.hi[a]))
+        pb = state.dist.interval_prob(int(state.lo[b]), int(state.hi[b]))
         if pa <= 0 or pb <= 0:
             return 0.0
-        p = state.interval_prob(int(lo), int(hi)) / (state.n_t * (pa * pb))
+        p = state.dist.interval_prob(int(lo), int(hi)) / (state.n_t * (pa * pb))
     else:
         r, f = (a, b) if ka == RESPONDENT else (b, a)
         cat = int(state.lo[r])
         if not (state.lo[f] <= cat <= state.hi[f]):
             return 0.0
-        pf = state.interval_prob(int(state.lo[f]), int(state.hi[f]))
+        pf = state.dist.interval_prob(int(state.lo[f]), int(state.hi[f]))
         if pf <= 0:
             return 0.0
         p = 1 / (state.n_t * pf)

@@ -28,7 +28,6 @@ from .seeding import derive_seed
 __all__ = [
     "RESPONDENT",
     "FRIEND",
-    "Description",
     "SampleForest",
     "METHODS",
     "sample_paths",
@@ -49,29 +48,6 @@ SEED_DEGREE_MIN = 5  # high-degree seeding threshold
 
 
 @dataclass(frozen=True)
-class Description:
-    """Closed integer interval ``[lo, hi]`` describing a hidden category."""
-
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError("empty description interval")
-
-    @property
-    def width(self) -> int:
-        return self.hi - self.lo + 1
-
-    def contains(self, category: int) -> bool:
-        return self.lo <= category <= self.hi
-
-    def intersect(self, other: "Description") -> "Description | None":
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        return Description(lo, hi) if lo <= hi else None
-
-
-@dataclass(frozen=True)
 class SampleForest:
     """Forest of interview occurrences.
 
@@ -84,6 +60,9 @@ class SampleForest:
     ``truth`` maps occurrences to underlying vertex ids.  It exists for
     evaluation only; pass the forest through :meth:`without_truth` to
     prove a consumer independent of it.
+
+    Malformed payloads raise ``ValueError``: ragged arrays, unknown
+    kinds, parents outside [-1, N), intervals not in 1 <= lo <= hi <= g.
     """
 
     tree: np.ndarray
@@ -100,6 +79,16 @@ class SampleForest:
                                np.asarray(getattr(self, name), dtype=np.int64))
         if self.truth is not None:
             object.__setattr__(self, "truth", np.asarray(self.truth, dtype=np.int64))
+        n = self.tree.size
+        arrays = (self.tree, self.parent, self.kind, self.lo, self.hi, self.truth)
+        if any(a is not None and a.shape != (n,) for a in arrays):
+            raise ValueError("every forest array needs one entry per occurrence")
+        if not np.isin(self.kind, (RESPONDENT, FRIEND)).all():
+            raise ValueError("occurrence kinds must be RESPONDENT or FRIEND")
+        if ((self.parent < -1) | (self.parent >= n)).any():
+            raise ValueError(f"parent ids must lie in [-1, {n})")
+        if ((self.lo < 1) | (self.lo > self.hi) | (self.hi > self.g)).any():
+            raise ValueError(f"payload intervals must satisfy 1 <= lo <= hi <= {self.g}")
 
     @property
     def size(self) -> int:
@@ -122,9 +111,6 @@ class SampleForest:
 
     def without_truth(self) -> "SampleForest":
         return replace(self, truth=None)
-
-    def description(self, occ: int) -> Description:
-        return Description(int(self.lo[occ]), int(self.hi[occ]))
 
 
 def sample_paths(g: Graph, n_r: int, method: str, seed: int) -> list[np.ndarray]:

@@ -16,8 +16,6 @@ from scipy import stats
 
 from netrecon import (
     CategoryDistribution,
-    Description,
-    DetectorConfig,
     FRIEND,
     Graph,
     LfrParams,
@@ -39,7 +37,6 @@ from netrecon import (
     modularity,
     nmi,
     pair_probability,
-    pr_description,
     project,
     realized_mixing,
     reconstruct,
@@ -108,7 +105,7 @@ def test_01_pair_probability_worked_example():
     and [34,36] is exactly 50/(6 n_t); the wider interval has mass 3/50."""
     exact = CategoryDistribution(
         50, np.array([Fraction(1, 50)] * 50, dtype=object))
-    assert pr_description(Description(34, 36), exact) == Fraction(3, 50)
+    assert exact.interval_prob(34, 36) == Fraction(3, 50)
     # two one-vertex paths, each respondent naming one friend
     forest = SampleForest(tree=[0, 0, 1, 1], parent=[-1, 0, -1, 2],
                           kind=[RESPONDENT, FRIEND, RESPONDENT, FRIEND],
@@ -248,10 +245,8 @@ def test_06_assortative_labels_aid_community_recovery(dense_nets):
                 derive_seed(MASTER, "recon", label, rep))
             tnet, _ = true_network(forest)
             proj = project(res.provenance, forest)
-            found = detect(res.graph,
-                           DetectorConfig(seed=derive_seed(MASTER, "c1", rep)))
-            truth = detect(tnet,
-                           DetectorConfig(seed=derive_seed(MASTER, "c2", rep)))
+            found = detect(res.graph, seed=derive_seed(MASTER, "c1", rep))
+            truth = detect(tnet, seed=derive_seed(MASTER, "c2", rep))
             dense_proj = np.searchsorted(tnet.labels, proj)
             scores.append(nmi(found, truth[dense_proj]))
     diff = np.array(assort_scores) - np.array(plain_scores)
@@ -337,8 +332,7 @@ def test_09_immunization_strategy_ordering(heavy_net):
     out = {}
     for kind in ("reconstructed-top", "reconstructed-frequency-random",
                  "random-whole"):
-        spec = StrategySpec(kind=kind, budget=budget, property="degree",
-                            ensemble_size=100)
+        spec = StrategySpec(kind=kind, budget=budget, property="degree")
         out[kind] = evaluate_strategy(net, spec, sir, 200,
                                       derive_seed(MASTER, "epi", kind),
                                       ensemble=ensemble,
@@ -389,7 +383,7 @@ def test_10_sample_size_sensitivity(heavy_net):
                 ensemble.append(res.graph)
                 projections.append(project(res.provenance, forest))
         spec = StrategySpec(kind="reconstructed-top", budget=budget,
-                            property="degree", ensemble_size=30)
+                            property="degree")
         r = evaluate_strategy(net, spec, sir, 200,
                               derive_seed(MASTER, "epi", frac),
                               ensemble=ensemble, projections=projections)

@@ -32,13 +32,9 @@ def test_distribution_validation():
 
 def test_uniform_distribution_probs():
     d = uniform_distribution(50)
-    assert d.prob(1) == pytest.approx(1 / 50)
+    assert d.p[0] == pytest.approx(1 / 50)
     assert d.interval_prob(34, 36) == pytest.approx(3 / 50)
     assert d.interval_prob(1, 50) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        d.prob(0)
-    with pytest.raises(ValueError):
-        d.prob(51)
     with pytest.raises(ValueError):
         d.interval_prob(0, 3)
     with pytest.raises(ValueError):

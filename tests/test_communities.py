@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from netrecon import (DetectorConfig, Graph, LfrParams, detect,
-                      generate_lfr_like, modularity)
+from netrecon import Graph, LfrParams, detect, generate_lfr_like, modularity
 from netrecon.communities import _greedy_modularity
 
 from oracles import modularity_reference, set_partitions
@@ -56,7 +55,7 @@ def test_modularity_validation():
 
 def test_detect_finds_planted_cliques():
     g = two_cliques(bridge=True)
-    labels = detect(g, DetectorConfig(seed=1))
+    labels = detect(g, seed=1)
     assert len(set(labels[:5])) == 1
     assert len(set(labels[5:])) == 1
     assert labels[0] != labels[9]
@@ -67,13 +66,13 @@ def test_detect_attains_brute_force_optimum():
     modularity maximum, found here by scanning all 115975 partitions."""
     g = two_cliques(bridge=True)
     best = max(modularity(g, np.array(p)) for p in set_partitions(10))
-    found = modularity(g, detect(g, DetectorConfig(seed=0)))
+    found = modularity(g, detect(g, seed=0))
     assert found == pytest.approx(best)
 
 
 def test_detect_labels_are_dense_first_appearance():
     g = two_cliques(bridge=True)
-    labels = detect(g, DetectorConfig(seed=2))
+    labels = detect(g, seed=2)
     k = labels.max() + 1
     assert sorted(set(labels)) == list(range(k))
     assert labels[0] == 0  # first vertex opens label 0
@@ -81,7 +80,7 @@ def test_detect_labels_are_dense_first_appearance():
 
 def test_detect_isolated_vertices_are_singletons():
     g = Graph.from_edges(7, clique_edges(range(4)))  # vertices 4..6 isolated
-    labels = detect(g, DetectorConfig(seed=3))
+    labels = detect(g, seed=3)
     assert len(set(labels[:4])) == 1
     assert len({labels[4], labels[5], labels[6]}) == 3
     assert labels[0] not in labels[4:]
@@ -92,8 +91,8 @@ def test_detect_deterministic():
     edges = [(i, j) for i in range(40) for j in range(i + 1, 40)
              if rng.random() < 0.12]
     g = Graph.from_edges(40, edges)
-    a = detect(g, DetectorConfig(seed=5))
-    b = detect(g, DetectorConfig(seed=5))
+    a = detect(g, seed=5)
+    b = detect(g, seed=5)
     assert (a == b).all()
 
 
@@ -106,7 +105,7 @@ def test_detect_ring_of_cliques():
     for c in range(4):
         edges.append((6 * c, (6 * ((c + 1) % 4)) + 1))
     g = Graph.from_edges(24, edges)
-    labels = detect(g, DetectorConfig(seed=6))
+    labels = detect(g, seed=6)
     for c in range(4):
         assert len(set(labels[6 * c:6 * c + 6])) == 1
     assert len(set(labels)) == 4
@@ -119,23 +118,12 @@ def test_labels_score_the_top_level_modularity():
         g, _ = generate_lfr_like(LfrParams(n=300, k_avg=8, k_max=30, mu=0.3,
                                            tau1=2.5, tau2=1, c_min=10,
                                            c_max=40, seed=seed))
-        cfg = DetectorConfig(seed=seed)
-        _, adj, loops = _greedy_modularity(g, cfg)
+        _, adj, loops = _greedy_modularity(g, seed)
         # a super-vertex's strength counts its internal edges twice
         strength = [sum(a.values()) + 2 * w for a, w in zip(adj, loops)]
         m = sum(strength) / 2
         top = sum(w / m - (s / (2 * m)) ** 2 for s, w in zip(strength, loops))
-        labels = detect(g, cfg)
+        labels = detect(g, seed=seed)
         assert modularity_reference(g.n, g.edges().tolist(), labels) == \
             pytest.approx(top, abs=1e-12)
 
-
-def test_detect_rejects_unknown_method():
-    g = two_cliques(bridge=False)
-    with pytest.raises(ValueError):
-        detect(g, DetectorConfig(method="label-propagation"))
-
-
-def test_resolution_validation():
-    with pytest.raises(ValueError):
-        DetectorConfig(resolution=0.0)

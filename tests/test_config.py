@@ -89,6 +89,12 @@ def test_validation_various():
         parse_config(GOOD + "\nstrategies = betweenness-top\n")
 
 
+@pytest.mark.parametrize("frac", ["-0.5", "0", "1.5", "0.05, 2"])
+def test_validation_rejects_n_t_frac_outside_unit_interval(frac):
+    with pytest.raises(ValueError, match="n_t_frac values must lie in"):
+        parse_config(GOOD + f"\nn_t_rule = fraction-of-n\nn_t_frac = {frac}\n")
+
+
 def test_fraction_rule_expands_sweep():
     cfg = parse_config(GOOD + "\nn_t_rule = fraction-of-n\nn_t_frac = 0.05, 0.08\n")
     assert len(cfg.points()) == 2 * 2 * 2 * 2

@@ -49,8 +49,6 @@ def test_strategy_spec_validation():
         StrategySpec(kind="random-whole", budget=-1)
     with pytest.raises(ValueError):
         StrategySpec(kind="underlying-top", budget=3, property="pagerank")
-    with pytest.raises(ValueError):
-        StrategySpec(kind="random-whole", budget=3, ensemble_size=0)
 
 
 def test_sir_size_bounds_and_determinism(bench):
@@ -164,13 +162,11 @@ def test_select_reconstructed_top_averages_over_appearances():
     path = Graph.from_edges(3, [(0, 1), (1, 2)])
     ensemble = [tri, path]
     projections = [np.array([0, 1, 2]), np.array([1, 2, 3])]
-    spec = StrategySpec(kind="reconstructed-top", budget=1, property="degree",
-                        ensemble_size=2)
+    spec = StrategySpec(kind="reconstructed-top", budget=1, property="degree")
     chosen = select_immunized(g, spec, seed=0, ensemble=ensemble,
                               projections=projections)
     assert list(chosen) == [2]
-    spec2 = StrategySpec(kind="reconstructed-top", budget=3, property="degree",
-                         ensemble_size=2)
+    spec2 = StrategySpec(kind="reconstructed-top", budget=3, property="degree")
     chosen3 = select_immunized(g, spec2, seed=0, ensemble=ensemble,
                                projections=projections)
     assert list(chosen3) == [0, 1, 2]  # person 3's mean 1.0 ranks last
@@ -181,15 +177,13 @@ def test_select_frequency_ranks_by_appearances():
     tri = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     ensemble = [tri, tri, tri]
     projections = [np.array([5, 1, 2]), np.array([5, 1, 3]), np.array([5, 4, 6])]
-    spec = StrategySpec(kind="reconstructed-frequency-random", budget=2,
-                        ensemble_size=3)
+    spec = StrategySpec(kind="reconstructed-frequency-random", budget=2)
     # person 5 appears 3 times, person 1 twice, everyone else once
     chosen = select_immunized(g, spec, seed=0, ensemble=ensemble,
                               projections=projections)
     assert set(chosen) == {5, 1}
     # budget beyond the seen pool is an error
-    big = StrategySpec(kind="reconstructed-frequency-random", budget=7,
-                       ensemble_size=3)
+    big = StrategySpec(kind="reconstructed-frequency-random", budget=7)
     with pytest.raises(ValueError):
         select_immunized(g, big, seed=0, ensemble=ensemble, projections=projections)
 
@@ -200,8 +194,7 @@ def test_select_frequency_random_ties(bench):
     g = bench
     tri = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     projections = [np.arange(3), np.arange(3, 6), np.arange(6, 9)]
-    spec = StrategySpec(kind="reconstructed-frequency-random", budget=3,
-                        ensemble_size=3)
+    spec = StrategySpec(kind="reconstructed-frequency-random", budget=3)
     picks = {tuple(select_immunized(g, spec, seed=s, ensemble=[tri] * 3,
                                     projections=projections))
              for s in range(30)}
@@ -211,7 +204,7 @@ def test_select_frequency_random_ties(bench):
 def test_select_validates_alignment(bench):
     g = bench
     tri = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    spec = StrategySpec(kind="reconstructed-top", budget=2, ensemble_size=2)
+    spec = StrategySpec(kind="reconstructed-top", budget=2)
     with pytest.raises(ValueError):
         select_immunized(g, spec, seed=0, ensemble=[tri, tri],
                          projections=[np.arange(3)])

@@ -81,14 +81,6 @@ def test_vertex_queries_validate_range():
             g.is_edge(bad, 0)
 
 
-def test_components():
-    g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)])
-    comp = g.components()
-    assert comp[0] == comp[1] == comp[2]
-    assert comp[3] == comp[4]
-    assert len({comp[0], comp[3], comp[5]}) == 3
-
-
 def test_edge_list_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     edges = random_edges(rng, 40, 100)

@@ -11,7 +11,6 @@ from netrecon import (
     FRIEND,
     RESPONDENT,
     CategoryDistribution,
-    Description,
     LfrParams,
     ReconState,
     ReconstructionStalled,
@@ -21,7 +20,6 @@ from netrecon import (
     elicit_friends,
     generate_lfr_like,
     pair_probability,
-    pr_description,
     reconstruct,
     sample_paths,
     true_network,
@@ -57,11 +55,11 @@ def hand_forest():
 
 
 def test_pr_description():
-    assert pr_description(Description(34, 36), UNIFORM50) == pytest.approx(3 / 50)
-    assert pr_description(Description(34, 36), EXACT50) == Fraction(3, 50)
+    assert UNIFORM50.interval_prob(34, 36) == pytest.approx(3 / 50)
+    assert EXACT50.interval_prob(34, 36) == Fraction(3, 50)
     spike = np.zeros(10)
     spike[0] = 1.0
-    assert pr_description(Description(5, 7), CategoryDistribution(10, spike)) == 0.0
+    assert CategoryDistribution(10, spike).interval_prob(5, 7) == 0.0
 
 
 def test_pair_probability_respondent_friend():

@@ -8,8 +8,8 @@ import pytest
 from netrecon import (
     FRIEND,
     RESPONDENT,
-    Description,
     Graph,
+    SampleForest,
     LfrParams,
     assign_attributes,
     assign_distinct,
@@ -33,16 +33,6 @@ def bench():
     g, _ = generate_lfr_like(params)
     attrs = assign_attributes(g.n, discretized_normal(50), seed=6)
     return g, attrs
-
-
-def test_description_interval():
-    d = Description(3, 5)
-    assert d.width == 3
-    assert d.contains(3) and d.contains(5) and not d.contains(6)
-    assert d.intersect(Description(5, 9)) == Description(5, 5)
-    assert d.intersect(Description(6, 9)) is None
-    with pytest.raises(ValueError):
-        Description(4, 3)
 
 
 @pytest.mark.parametrize("method", ["rpm", "hpm"])
@@ -126,7 +116,7 @@ def test_elicited_forest_structure(bench):
             # friends: true neighbor of their respondent, interval covers them
             assert g.is_edge(int(forest.truth[par]), v)
             assert forest.kind[par] == RESPONDENT
-            assert forest.description(occ).contains(attrs.category(v))
+            assert forest.lo[occ] <= attrs.category(v) <= forest.hi[occ]
 
 
 def test_friend_counts_respect_cap(bench):
@@ -225,3 +215,31 @@ def test_forest_round_trip(bench, tmp_path):
 def test_read_forest_rejects_garbage():
     with pytest.raises(ValueError):
         read_forest(io.StringIO("not a forest\n"))
+
+
+FOREST_HEAD = "# g 10\n0 0 R -1 5\n0 1 F 0 4..6\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    pytest.param("0 2 R -3 5", "parent ids", id="parent-below-minus-one"),
+    pytest.param("0 2 R 0 0", "payload intervals", id="category-zero"),
+    pytest.param("0 2 F 0 7..5", "payload intervals", id="empty-interval"),
+    pytest.param("0 2 F 0 0..3", "payload intervals", id="starts-below-one"),
+    pytest.param("0 2 F 0 8..12", "payload intervals", id="ends-beyond-g"),
+])
+def test_read_forest_rejects_malformed_occurrences(line, message):
+    assert read_forest(io.StringIO(FOREST_HEAD)).size == 2
+    with pytest.raises(ValueError, match=message):
+        read_forest(io.StringIO(FOREST_HEAD + line + "\n"))
+
+
+def test_forest_rejects_ragged_arrays_and_unknown_kinds():
+    with pytest.raises(ValueError, match="one entry per occurrence"):
+        SampleForest(tree=[0, 0], parent=[-1], kind=[RESPONDENT, FRIEND],
+                     lo=[5, 4], hi=[5, 6], g=10)
+    with pytest.raises(ValueError, match="one entry per occurrence"):
+        SampleForest(tree=[0, 0], parent=[-1, 0], kind=[RESPONDENT, FRIEND],
+                     lo=[5, 4], hi=[5, 6], g=10, truth=[0])
+    with pytest.raises(ValueError, match="kinds"):
+        SampleForest(tree=[0, 0], parent=[-1, 0], kind=[RESPONDENT, 2],
+                     lo=[5, 4], hi=[5, 6], g=10)
