@@ -44,8 +44,8 @@ class CategoryDistribution:
         arr = np.asarray(self.p)
         if arr.shape != (self.g,):
             raise ValueError(f"need {self.g} probabilities, got shape {arr.shape}")
-        if any(x < 0 for x in arr):
-            raise ValueError("negative probability")
+        if any(not 0 <= x <= 1 for x in arr):  # NaN compares false
+            raise ValueError("probabilities must lie in [0, 1]")
         if abs(float(sum(arr)) - 1.0) > 1e-12:
             raise ValueError("probabilities must sum to 1 within 1e-12")
         object.__setattr__(self, "p", arr)

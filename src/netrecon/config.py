@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .epidemic import DEFAULT_STRATEGIES, PROPERTIES, STRATEGY_KINDS
+from .epidemic import DEFAULT_STRATEGIES, PROPERTIES, STRATEGY_KINDS, SirParams
 from .sampling import METHODS
 
 __all__ = ["ExperimentConfig", "SweepPoint", "parse_config"]
@@ -105,6 +105,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown distribution {self.distribution!r}")
         if not self.g:
             raise ValueError("need at least one g value")
+        if any(x < 1 for x in self.g + self.c) or any(x < 0 for x in self.f):
+            raise ValueError("g and c values must be positive, f values nonnegative")
         for m in self.method:
             if m not in METHODS:
                 raise ValueError(f"unknown sampling method {m!r}")
@@ -123,6 +125,7 @@ class ExperimentConfig:
                 raise ValueError("budgets are fractions of n below 1")
         for s in self.strategies:
             parse_strategy(s)
+        SirParams(self.sir_init_frac, self.sir_beta, self.sir_steps)
 
     def points(self) -> list[SweepPoint]:
         mus = self.mu if self.network == "lfr" else (None,)

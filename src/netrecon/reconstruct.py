@@ -26,8 +26,8 @@ payloads, not respondent-respondent) uniformly, merge it with its
 probability p, and draw again on rejection.  A rejected draw changes
 nothing, so each merge falls on a pair with probability p / Σp, and the
 number of draws it takes is Geometric(Σp / |candidates|).  The sampler
-draws both directly from a weight matrix of all pair probabilities, so
-no time goes into rejected draws.
+draws both directly from the pair probabilities, a group ∝ its row sum
+and then its partner ∝ its row, so no time goes into rejected draws.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ __all__ = [
     "reconstruct",
 ]
 
-_BLOCK = 256  # rows whose weights are computed together
+_SCAN = 1 << 18  # occurrence pairs compared at once while building
 
 
 @dataclass(frozen=True)
@@ -95,22 +95,19 @@ class ReconState:
     """Mutable state of a coalescing run.
 
     Groups are indexed by the occurrence id of their first member; dead
-    group slots stay in the arrays but are flagged.  Two dense symmetric
-    matrices over group slots hold the pairs in play:
-
-    * ``C[i, j]`` marks the candidate pairs: both alive, payload
-      intervals overlapping, not respondent-respondent;
-    * ``W[i, j]`` is the merge probability of a candidate pair as a
-      float, zero where a rule forbids the merge.
+    group slots stay in the arrays but are flagged.  :meth:`row` gives
+    the candidates of a group (alive, payload intervals overlapping, not
+    respondent-respondent) with their merge probabilities.  A merge only
+    narrows payloads, so group i's candidates are always among the
+    initial candidates of occurrence i, which are listed once.
 
     ``n_pairs`` counts the candidate pairs, ``w_sum`` holds the row sums
-    of ``W`` and ``w_pos`` the number of positive weights in each row: a
-    row whose count is zero has no weight left, whatever rounding has
-    left in its sum.
+    and ``w_pos`` the number of positive weights in each row: a row whose
+    count is zero has no weight left, whatever rounding left in its sum.
 
     Friends are only ever adjacent to respondents, so a merge changes no
     adjacency or shared respondent between two other groups: only the
-    rows and columns of the two merged groups change.
+    rows of the two merged groups and their entries in other rows change.
     """
 
     def __init__(self, forest: SampleForest, dist: CategoryDistribution, n_t: int):
@@ -129,23 +126,23 @@ class ReconState:
         self.n_alive = n
         self.members: list[list[int]] = [[i] for i in range(n)]
         self.adj: list[set[int]] = [set() for _ in range(n)]
-        for c in child:
-            p = int(forest.parent[c])
-            self.adj[p].add(int(c))
-            self.adj[int(c)].add(p)
+        for c, p in zip(child.tolist(), forest.parent[child].tolist()):
+            self.adj[p].add(c)
+            self.adj[c].add(p)
         # cumulative masses for O(1) interval probabilities; length g+1
         self._cum = np.concatenate([[0.0], np.cumsum(dist.p, dtype=float)])
         self._resp = self.kind == RESPONDENT
         self._friend = (self.kind == FRIEND).tolist()  # for Python loops
         self._mass = self._slot_mass(np.arange(n))
-        self.C, self.W, self.w_sum, self.w_pos = self._matrices()
-        self.n_pairs = np.count_nonzero(self.C) // 2
+        self._cands, self.w_sum, self.w_pos = self._initial_rows()
+        self.n_pairs = sum(c.size for c in self._cands) // 2
+        self._rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # since the last merge
 
     @property
     def pairs(self) -> np.ndarray:
-        """The candidate pairs (i < j) as rows of an (m, 2) array, read
-        off ``C``."""
-        return np.argwhere(np.triu(self.C, 1))
+        """The candidate pairs (i < j) as rows of an (m, 2) array."""
+        return np.array([(i, j) for i in np.flatnonzero(self.alive)
+                         for j in self.row(i)[0] if i < j]).reshape(-1, 2)
 
     # -- probabilities ---------------------------------------------------
 
@@ -165,19 +162,6 @@ class ReconState:
         return np.where(self._resp[i], 1.0,
                         np.maximum(cum[self.hi[i]] - cum[self.lo[i] - 1], 0.0))
 
-    def _candidates(self, i: int, among: np.ndarray | None = None) -> np.ndarray:
-        """Ids of group i's candidates, out of ``among`` (default: all
-        groups): the alive groups other than i whose payload overlaps
-        i's, only friends for a respondent."""
-        lo, hi, alive, resp = self.lo, self.hi, self.alive, self._resp
-        if among is not None:
-            lo, hi, alive, resp = lo[among], hi[among], alive[among], resp[among]
-        keep = (lo <= int(self.hi[i])) & (hi >= int(self.lo[i])) & alive
-        if self._resp[i]:
-            keep &= ~resp
-        ids = keep.nonzero()[0] if among is None else among[keep]
-        return ids[ids != i]
-
     def _weights(self, i, j) -> np.ndarray:
         """Merge probabilities of the candidate pairs (i, j) before the
         adjacency rules of :meth:`_forbidden`: 1 / (n_t Pr(d_f)) for a
@@ -192,31 +176,48 @@ class ReconState:
         np.divide(num, den, out=p, where=den > 0)
         return np.minimum(p, 1.0, out=p)
 
-    def _matrices(self):
-        """``C``, ``W``, ``w_sum`` and ``w_pos`` computed from scratch: the
-        candidates row by row, their weights for a block of rows at a
-        time."""
+    def _allowed(self, i: int, ids: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """The weights w of the pairs (i, ids), zeroed in place where
+        :meth:`_forbidden` bans the merge."""
+        ban = np.zeros(self.kind.size, dtype=bool)
+        ban[self._forbidden(i)] = True
+        w[ban[ids]] = 0.0
+        return w
+
+    def _initial_rows(self):
+        """Each occurrence's initial candidates, ascending, with the sum
+        and positive count of their weights.  The pairs are scanned a
+        block of rows at a time, so the scratch arrays stay bounded."""
         n = self.kind.size
-        cand = np.zeros((n, n), dtype=bool)
-        w = np.zeros((n, n))
+        lo, hi, resp = self.lo, self.hi, self._resp
+        cands: list[np.ndarray] = []
         w_sum = np.zeros(n)
         w_pos = np.zeros(n, dtype=np.int64)
-        alive = np.flatnonzero(self.alive).tolist()
-        for start in range(0, len(alive), _BLOCK):
-            rows = alive[start:start + _BLOCK]
-            cols = []
-            for r in rows:
-                cols.append(self._candidates(r))
-                cand[r][cols[-1]] = True
-            i = np.repeat(rows, [c.size for c in cols])
-            j = np.concatenate(cols)
-            w[i, j] = self._weights(i, j)
-            for r in rows:
-                w[r][self._forbidden(r)] = 0.0
-            v = w[i, j]
-            w_sum += np.bincount(i, weights=v, minlength=n)
-            w_pos += np.bincount(i[v > 0], minlength=n)
-        return cand, w, w_sum, w_pos
+        step = max(1, _SCAN // n)
+        for start in range(0, n, step):
+            rows = np.arange(start, min(start + step, n))
+            keep = (lo[rows, None] <= hi) & (hi[rows, None] >= lo)
+            keep &= ~(resp[rows, None] & resp)
+            keep[rows - start, rows] = False
+            k, j = keep.nonzero()
+            w = self._weights(rows[k], j)
+            cut = np.cumsum(np.bincount(k, minlength=rows.size))[:-1]
+            cands += np.split(j, cut)
+            for r, ids, v in zip(rows.tolist(), cands[start:], np.split(w, cut)):
+                self._allowed(r, ids, v)  # v is a view: zeroes w
+            w_sum[rows] = np.bincount(k, weights=w, minlength=rows.size)
+            w_pos[rows] = np.bincount(k[w > 0], minlength=rows.size)
+        return cands, w_sum, w_pos
+
+    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Group i's candidates, ascending, and their merge probabilities;
+        the arrays are shared with later calls until the next merge."""
+        if i not in self._rows:
+            ids = self._cands[i]
+            ids = ids[self.alive[ids] & (self.lo[ids] <= self.hi[i])
+                      & (self.hi[ids] >= self.lo[i])]
+            self._rows[i] = ids, self._allowed(i, ids, self._weights(i, ids))
+        return self._rows[i]
 
     # -- merging ---------------------------------------------------------
 
@@ -236,11 +237,13 @@ class ReconState:
         elif self.kind[a] == FRIEND and b < a:
             a, b = b, a
         s, o = a, b  # survivor, absorbed
-        if self.kind[s] == FRIEND:
-            self.lo[s] = max(self.lo[s], self.lo[o])
-            self.hi[s] = min(self.hi[s], self.hi[o])
-            if self.lo[s] > self.hi[s]:
-                raise ValueError("merging groups with disjoint descriptions")
+        lo, hi = max(self.lo[s], self.lo[o]), min(self.hi[s], self.hi[o])
+        if self.kind[s] == FRIEND and lo > hi:
+            raise ValueError("merging groups with disjoint descriptions")
+        (old_s, w_s), (old_o, w_o) = self.row(s), self.row(o)
+        narrowed = self.kind[s] == FRIEND and (lo, hi) != (self.lo[s], self.hi[s])
+        if narrowed:
+            self.lo[s], self.hi[s] = lo, hi
             self._mass[s] = self._slot_mass(s)
         self.members[s].extend(self.members[o])
         self.members[o] = []
@@ -253,38 +256,29 @@ class ReconState:
         self.adj[o] = set()
         self.alive[o] = False
         self.n_alive -= 1
-        self._refresh(s, o)
-        return s
-
-    def _refresh(self, s: int, o: int) -> None:
-        """Recompute the row and column of s and clear those of o, writing
-        only at the candidates of each row, the same entries as its
-        column's by symmetry.  The payload of s can only have narrowed,
-        so its candidates are among its old ones."""
-        idx = self._candidates(s, self.C[s].nonzero()[0])
-        row = np.zeros(self.kind.size)
-        row[idx] = self._weights(s, idx)
-        row[self._forbidden(s)] = 0.0
-        w = row[idx]
-        for x in (s, o):
-            old = self.C[x].nonzero()[0]
-            w_old = self.W[x][old]
-            self.n_pairs -= old.size
-            self.w_sum[old] -= w_old
-            self.w_pos[old] -= w_old > 0
-            self.C[x][old] = self.C[old, x] = False
-            self.W[x][old] = self.W[old, x] = 0.0
-        self.C[s][idx] = self.C[idx, s] = True
-        self.W[s][idx] = self.W[idx, s] = w
-        self.n_pairs += idx.size
-        self.w_sum[idx] += w
-        self.w_pos[idx] += w > 0
+        self._rows.clear()
+        if not narrowed:  # the weights stand; o leaves, and o's bans join s's
+            stay = old_s != o
+            self._rows[s] = old_s[stay], self._allowed(s, old_s[stay], w_s[stay])
+        new, w = self.row(s)
+        # the order of these updates fixes the rounding of w_sum, and so the
+        # draws: s's old row, o's without the pair (s, o), s's new row
+        keep = old_o != s
+        for ids, v in ((old_s, w_s), (old_o[keep], w_o[keep])):
+            self.n_pairs -= ids.size
+            self.w_sum[ids] -= v
+            self.w_pos[ids] -= v > 0
+        self.n_pairs += new.size
+        self.w_sum[new] += w
+        self.w_pos[new] += w > 0
         self.w_sum[s], self.w_pos[s] = w.sum(), np.count_nonzero(w)
         self.w_sum[o] = self.w_pos[o] = 0
+        return s
 
     def check_invariants(self, forest: SampleForest) -> None:
         """Debug/test hook: verify structural invariants of the state,
-        and that the matrices equal a fresh recomputation."""
+        and that every row, its sum and the pair count equal a
+        recomputation from a scan of all groups."""
         alive_ids = np.flatnonzero(self.alive)
         seen: set[int] = set()
         for i in alive_ids:
@@ -302,12 +296,20 @@ class ReconState:
         assert len(seen) == forest.size, "lost occurrences"
         slots = np.arange(self.kind.size)
         assert (self._mass == self._slot_mass(slots)).all(), "masses out of date"
-        cand, w, _, _ = self._matrices()
-        assert (self.C == cand).all(), "candidate matrix out of date"
-        assert (self.W == w).all(), "weight matrix out of date"
-        assert self.n_pairs == np.count_nonzero(cand) // 2, "candidate count out of date"
-        assert (self.w_pos == np.count_nonzero(w, axis=1)).all(), "positive counts out of date"
-        assert np.allclose(self.w_sum, w.sum(axis=1), rtol=1e-9, atol=1e-12), \
+        w_sum, w_pos = np.zeros(slots.size), np.zeros(slots.size, dtype=np.int64)
+        pairs = 0
+        for i in alive_ids:  # against a scan of every group
+            ids, w = self.row(i)
+            full = ((self.lo <= self.hi[i]) & (self.hi >= self.lo[i]) & self.alive
+                    & ~(self._resp[i] & self._resp)).nonzero()[0]
+            full = full[full != i]
+            assert np.array_equal(ids, full), "candidates out of date"
+            ref = self._allowed(i, full, self._weights(i, full))
+            assert np.array_equal(w, ref), "weights out of date"
+            w_sum[i], w_pos[i], pairs = w.sum(), np.count_nonzero(w), pairs + ids.size
+        assert self.n_pairs * 2 == pairs, "candidate count out of date"
+        assert (self.w_pos == w_pos).all(), "positive counts out of date"
+        assert np.allclose(self.w_sum, w_sum, rtol=1e-9, atol=1e-12), \
             "weight row sums out of date"
 
 
@@ -318,8 +320,8 @@ def pair_probability(state: ReconState, a: int, b: int):
     a structural rule forbids the merge (two respondents, current
     adjacency, category mismatch, shared respondent neighbor, or a
     description with no support under the distribution).  The scalar
-    reference for ``state.W``: each mass Pr(d) comes from
-    ``state.dist.interval_prob``, so floats match ``W`` up to rounding
+    reference for :meth:`ReconState.row`: each mass Pr(d) comes from
+    ``state.dist.interval_prob``, so floats match the row up to rounding
     and a distribution of Fractions gives exact rationals.
     """
     if a == b:
@@ -357,18 +359,13 @@ def pair_probability(state: ReconState, a: int, b: int):
 
 
 def _result(state: ReconState, log: list[MergeEvent], attempts: int) -> ReconResult:
-    alive_ids = np.flatnonzero(state.alive)
-    dense = {int(gid): i for i, gid in enumerate(alive_ids)}
+    alive_ids = np.flatnonzero(state.alive).tolist()
+    vid = np.cumsum(state.alive) - 1  # the vertex of each alive group
     prov = np.empty(state.kind.size, dtype=np.int64)
-    for gid, vid in dense.items():
-        for occ in state.members[gid]:
-            prov[occ] = vid
-    edges = []
-    for gid, vid in dense.items():
-        for x in state.adj[gid]:
-            if gid < x:
-                edges.append((vid, dense[int(x)]))
-    graph = Graph.from_edges(alive_ids.size, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+    for gid in alive_ids:
+        prov[state.members[gid]] = vid[gid]
+    edges = [(vid[gid], vid[x]) for gid in alive_ids for x in state.adj[gid] if gid < x]
+    graph = Graph.from_edges(len(alive_ids), np.asarray(edges, dtype=np.int64).reshape(-1, 2))
     return ReconResult(graph, prov, log, attempts)
 
 
@@ -432,12 +429,11 @@ def reconstruct(forest: SampleForest, dist: CategoryDistribution, n_t: int,
                 f"attempt budget {max_attempts} exhausted at size {state.n_alive} "
                 f"(target {n_t})", _result(state, log, max_attempts))
         a = _draw(cum, rng.random())
-        cols = state.C[a].nonzero()[0]
-        b = int(cols[_draw(np.cumsum(state.W[a, cols]), rng.random())])
-        a, b = min(a, b), max(a, b)
+        ids, w = state.row(a)
+        k = _draw(np.cumsum(w), rng.random())
+        a, b = min(a, int(ids[k])), max(a, int(ids[k]))
         log.append(MergeEvent(tuple(sorted(state.members[a])),
-                              tuple(sorted(state.members[b])),
-                              float(state.W[a, b])))
+                              tuple(sorted(state.members[b])), float(w[k])))
         state.merge(a, b)
         if validate:
             state.check_invariants(forest)

@@ -24,6 +24,8 @@ def test_distribution_validation():
         CategoryDistribution(2, np.array([0.5, 0.4]))  # does not sum to 1
     with pytest.raises(ValueError):
         CategoryDistribution(2, np.array([1.2, -0.2]))  # negative entry
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        CategoryDistribution(2, np.array([np.nan, 1.0]))  # sums to NaN
     with pytest.raises(ValueError):
         CategoryDistribution(3, np.array([0.5, 0.5]))  # wrong length
     with pytest.raises(ValueError):

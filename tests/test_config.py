@@ -95,6 +95,19 @@ def test_validation_rejects_n_t_frac_outside_unit_interval(frac):
         parse_config(GOOD + f"\nn_t_rule = fraction-of-n\nn_t_frac = {frac}\n")
 
 
+@pytest.mark.parametrize("line, message", [
+    ("g = 50, 0", "g and c values must be positive"),
+    ("c = 0", "g and c values must be positive"),
+    ("f = -1", "f values nonnegative"),
+    ("sir_beta = 2", "beta must lie in"),
+    ("sir_init_frac = 0", "init_frac must lie in"),
+    ("sir_steps = 0", "infectious_steps must be positive"),
+])
+def test_validation_rejects_bad_sweep_and_sir_values(line, message):
+    with pytest.raises(ValueError, match=message):
+        parse_config(GOOD + f"\n{line}\n")
+
+
 def test_fraction_rule_expands_sweep():
     cfg = parse_config(GOOD + "\nn_t_rule = fraction-of-n\nn_t_frac = 0.05, 0.08\n")
     assert len(cfg.points()) == 2 * 2 * 2 * 2

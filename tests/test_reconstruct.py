@@ -1,5 +1,6 @@
 """Coalescing: pair probabilities, merge mechanics, full reconstruction."""
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -127,8 +128,8 @@ def test_state_rejects_mismatched_distribution():
 
 
 def test_state_rejects_a_friend_naming_anyone():
-    # the matrix update after a merge relies on friends being leaves
-    # named by respondents
+    # the row updates after a merge rely on friends being leaves named
+    # by respondents
     forest = SampleForest(tree=[0, 0, 0], parent=[-1, 0, 1],
                           kind=[RESPONDENT, FRIEND, FRIEND],
                           lo=[5, 4, 5], hi=[5, 6, 7], g=50)
@@ -342,20 +343,23 @@ def test_matrices_track_every_merge(sampled):
     paths = sample_paths(g, 12, "rpm", seed=23)
     forest = elicit_friends(g, attrs, paths, 3, 2, seed=24).without_truth()
     n_t = forest.n_r + 3
-    # validate=True recomputes W and C from scratch after every merge
+    # validate=True recomputes every row from a scan of all groups after
+    # every merge
     res = reconstruct(forest, dist, n_t, seed=25, validate=True)
     assert len(res.log) == forest.size - n_t
-    # stepped by hand, each matrix entry against the oracle
+    # stepped by hand, each group's row against the oracle
     state = ReconState(forest, dist, n_t)
     rng = np.random.default_rng(26)
     while True:
         alive = np.flatnonzero(state.alive)
         cand, prob = reference_for(forest, [state.members[i] for i in alive],
                                    dist, n_t)
-        for (x, y), p in prob.items():
-            a, b = alive[x], alive[y]
-            assert state.C[a, b] == state.C[b, a] == cand[x, y]
-            assert state.W[a, b] == state.W[b, a] == pytest.approx(p, rel=1e-12)
+        for x, a in enumerate(alive):
+            keys = {y: (min(x, y), max(x, y)) for y in range(alive.size) if y != x}
+            ys = [y for y, key in keys.items() if cand[key]]
+            ids, w = state.row(a)
+            assert ids.tolist() == alive[ys].tolist()
+            assert w.tolist() == pytest.approx([prob[keys[y]] for y in ys], rel=1e-12)
         positive = [k for k, p in prob.items() if p > 0]
         if state.n_alive == n_t or not positive:
             break
@@ -363,10 +367,37 @@ def test_matrices_track_every_merge(sampled):
         state.merge(int(alive[x]), int(alive[y]))
         state.check_invariants(forest)
     assert state.n_alive == n_t
-    a, b = positive[0] if positive else (0, 1)
-    state.W[alive[a], alive[b]] += 0.125
-    with pytest.raises(AssertionError):
-        state.check_invariants(forest)
+    for table in (state.w_sum, state.w_pos):
+        kept = table[alive[0]]
+        table[alive[0]] += 1
+        with pytest.raises(AssertionError):
+            state.check_invariants(forest)
+        table[alive[0]] = kept
+    state.check_invariants(forest)
+
+
+def test_state_memory_stays_below_a_dense_matrix():
+    """Building the state of a forest of n occurrences with few
+    candidate pairs takes less memory than one n x n byte matrix."""
+    n_r, f = 600, 4
+    n = n_r * (f + 1)
+    respondent = np.arange(n_r) * (f + 1)  # each followed by its f friends
+    parent = np.repeat(respondent, f + 1)
+    parent[respondent] = -1
+    kind = np.full(n, FRIEND)
+    kind[respondent] = RESPONDENT
+    category = np.random.default_rng(0).integers(1, n + 1, size=n)
+    forest = SampleForest(tree=np.repeat(np.arange(n_r), f + 1), parent=parent,
+                          kind=kind, lo=category, hi=category, g=n)
+    dist = uniform_distribution(n)
+    tracemalloc.start()
+    try:
+        state = ReconState(forest, dist, n_t=n_r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < state.n_pairs < n
+    assert peak < n * n
 
 
 def test_dead_end_stalls_at_once():
