@@ -43,7 +43,6 @@ from .reconstruct import (
     ReconResult,
     ReconState,
     ReconstructionStalled,
-    pair_probability,
     reconstruct,
 )
 from .sampling import (

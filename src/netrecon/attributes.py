@@ -31,10 +31,10 @@ class CategoryDistribution:
     """Probability of each category ``1..g``.
 
     ``p[k-1]`` is the probability of category ``k``.  Probabilities must
-    be nonnegative and sum to 1 within 1e-12.  Entries may be any
-    numeric type supporting arithmetic (floats normally; exact types
-    such as :class:`fractions.Fraction` also work, in which case interval
-    probabilities come out exact).
+    lie in [0, 1] and sum to 1 within 1e-12.  Entries may be any numeric
+    type supporting arithmetic (floats normally; exact types such as
+    :class:`fractions.Fraction` pass the same checks, but coalescing
+    converts the masses to floats).
     """
 
     g: int
@@ -49,14 +49,6 @@ class CategoryDistribution:
         if abs(float(sum(arr)) - 1.0) > 1e-12:
             raise ValueError("probabilities must sum to 1 within 1e-12")
         object.__setattr__(self, "p", arr)
-
-    def interval_prob(self, lo: int, hi: int):
-        """Total probability of categories ``lo..hi`` inclusive."""
-        if lo > hi:
-            raise ValueError("empty interval")
-        if lo < 1 or hi > self.g:
-            raise ValueError(f"interval [{lo}, {hi}] outside [1, {self.g}]")
-        return sum(self.p[lo - 1:hi])
 
 
 def uniform_distribution(g: int) -> CategoryDistribution:

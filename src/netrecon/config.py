@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .epidemic import DEFAULT_STRATEGIES, PROPERTIES, STRATEGY_KINDS, SirParams
+from .generate import LfrParams
 from .sampling import METHODS
 
 __all__ = ["ExperimentConfig", "SweepPoint", "parse_config"]
@@ -96,6 +97,9 @@ class ExperimentConfig:
                 raise ValueError("config names two network sources; pick one")
             if self.n < 1 or not self.mu:
                 raise ValueError("synthetic network needs n and mu")
+            for mu in self.mu:
+                LfrParams(self.n, self.k_avg, self.k_max, mu, self.tau1,
+                          self.tau2, self.c_min, self.c_max)
         else:
             if not self.edgelist_path:
                 raise ValueError("network = edgelist needs edgelist_path")

@@ -1,10 +1,10 @@
 """Simple undirected graphs over dense integer vertex ids.
 
 The graph is stored in compressed sparse row form (``indptr``/``indices``)
-with every neighbor list sorted, so edge queries are binary searches and
-degree reads are pointer arithmetic.  Graphs are immutable after
-construction, their arrays read-only; anything that "modifies" a graph
-builds a new one.
+with every neighbor list sorted: ``neighbors(v)`` is a slice of
+``indices`` and ``degrees`` a difference of ``indptr``.  Graphs are
+immutable after construction, their arrays read-only; anything that
+"modifies" a graph builds a new one.
 """
 
 from __future__ import annotations
@@ -128,23 +128,10 @@ class Graph:
             raise IndexError(f"vertex {v} out of range [0, {self.n})")
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
-    def degree(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise IndexError(f"vertex {v} out of range [0, {self.n})")
-        return int(self.indptr[v + 1] - self.indptr[v])
-
     @property
     def degrees(self) -> np.ndarray:
         """Degree of every vertex as an int64 array."""
         return np.diff(self.indptr)
-
-    def is_edge(self, u: int, v: int) -> bool:
-        """Edge test by binary search in the sorted neighbor row."""
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise IndexError("vertex id out of range")
-        row = self.indices[self.indptr[u]:self.indptr[u + 1]]
-        i = np.searchsorted(row, v)
-        return bool(i < row.size and row[i] == v)
 
     def edges(self) -> np.ndarray:
         """All edges as an (m, 2) array with u < v, lexicographically sorted."""

@@ -75,6 +75,12 @@ def project(provenance: np.ndarray, forest: SampleForest) -> np.ndarray:
     return out
 
 
+def _pairs(*keys: np.ndarray) -> int:
+    """Number of unordered element pairs that agree on every key."""
+    _, counts = np.unique(np.stack(keys), axis=1, return_counts=True)
+    return int((counts * (counts - 1) // 2).sum())
+
+
 def community_precision(labels: np.ndarray, reference: np.ndarray,
                         projection: np.ndarray) -> float:
     """Precision of co-membership pairs under a projection.
@@ -91,24 +97,10 @@ def community_precision(labels: np.ndarray, reference: np.ndarray,
     if labels.shape != projection.shape:
         raise ValueError("labels and projection must align")
 
-    def npairs(counts):
-        counts = np.asarray(counts, dtype=np.int64)
-        return int((counts * (counts - 1) // 2).sum())
-
-    num = 0
-    den = 0
-    for c in np.unique(labels):
-        idx = np.flatnonzero(labels == c)
-        proj = projection[idx]
-        _, proj_counts = np.unique(proj, return_counts=True)
-        total = npairs([idx.size]) - npairs(proj_counts)
-        den += total
-        # same-reference pairs, minus the same-projection pairs hiding in them
-        refs = reference[proj]
-        for r in np.unique(refs):
-            sub = proj[refs == r]
-            _, sub_counts = np.unique(sub, return_counts=True)
-            num += npairs([sub.size]) - npairs(sub_counts)
+    # two elements with one projection also share its reference community
+    same = _pairs(labels, projection)
+    den = _pairs(labels) - same
+    num = _pairs(labels, reference[projection]) - same
     if den == 0:
         raise ValueError("no eligible co-membership pairs")
     return num / den

@@ -46,7 +46,6 @@ __all__ = [
     "ReconResult",
     "ReconState",
     "ReconstructionStalled",
-    "pair_probability",
     "reconstruct",
 ]
 
@@ -118,7 +117,6 @@ class ReconState:
         if (forest.kind[forest.parent[child]] != RESPONDENT).any():
             raise ValueError("every occurrence must be named by a respondent")
         self.n_t = int(n_t)
-        self.dist = dist
         self.kind = forest.kind.copy()
         self.lo = forest.lo.copy()
         self.hi = forest.hi.copy()
@@ -311,51 +309,6 @@ class ReconState:
         assert (self.w_pos == w_pos).all(), "positive counts out of date"
         assert np.allclose(self.w_sum, w_sum, rtol=1e-9, atol=1e-12), \
             "weight row sums out of date"
-
-
-def pair_probability(state: ReconState, a: int, b: int):
-    """Merge probability for groups a, b under the current state.
-
-    Symmetric in its arguments, clamped to 1, and exactly zero whenever
-    a structural rule forbids the merge (two respondents, current
-    adjacency, category mismatch, shared respondent neighbor, or a
-    description with no support under the distribution).  The scalar
-    reference for :meth:`ReconState.row`: each mass Pr(d) comes from
-    ``state.dist.interval_prob``, so floats match the row up to rounding
-    and a distribution of Fractions gives exact rationals.
-    """
-    if a == b:
-        raise ValueError("a pair needs two distinct groups")
-    if not (state.alive[a] and state.alive[b]):
-        raise ValueError("both groups must be alive")
-    ka, kb = state.kind[a], state.kind[b]
-    if ka == RESPONDENT and kb == RESPONDENT:
-        return 0.0
-    if b in state.adj[a]:
-        return 0.0
-    if ka == FRIEND and kb == FRIEND:
-        common = state.adj[a] & state.adj[b]
-        if any(state.kind[x] == RESPONDENT for x in common):
-            return 0.0
-        lo = max(state.lo[a], state.lo[b])
-        hi = min(state.hi[a], state.hi[b])
-        if lo > hi:
-            return 0.0
-        pa = state.dist.interval_prob(int(state.lo[a]), int(state.hi[a]))
-        pb = state.dist.interval_prob(int(state.lo[b]), int(state.hi[b]))
-        if pa <= 0 or pb <= 0:
-            return 0.0
-        p = state.dist.interval_prob(int(lo), int(hi)) / (state.n_t * (pa * pb))
-    else:
-        r, f = (a, b) if ka == RESPONDENT else (b, a)
-        cat = int(state.lo[r])
-        if not (state.lo[f] <= cat <= state.hi[f]):
-            return 0.0
-        pf = state.dist.interval_prob(int(state.lo[f]), int(state.hi[f]))
-        if pf <= 0:
-            return 0.0
-        p = 1 / (state.n_t * pf)
-    return min(1, p)
 
 
 def _result(state: ReconState, log: list[MergeEvent], attempts: int) -> ReconResult:

@@ -15,7 +15,6 @@ import pytest
 from scipy import stats
 
 from netrecon import (
-    CategoryDistribution,
     FRIEND,
     Graph,
     LfrParams,
@@ -36,7 +35,6 @@ from netrecon import (
     make_assortative,
     modularity,
     nmi,
-    pair_probability,
     project,
     realized_mixing,
     reconstruct,
@@ -51,7 +49,12 @@ from netrecon.pipeline import run_pipeline
 from netrecon.sampling import SampleForest
 from netrecon.seeding import derive_seed
 
-from oracles import modularity_reference, nmi_reference, spearman_reference
+from oracles import (
+    coalescing_reference,
+    modularity_reference,
+    nmi_reference,
+    spearman_reference,
+)
 
 MASTER = 0
 ALPHA = 0.05          # one-sided significance level for ordering claims
@@ -102,21 +105,22 @@ def heavy_net():
 
 def test_01_pair_probability_worked_example():
     """Uniform 50-category anchor: P(merge) for friend intervals [33,34]
-    and [34,36] is exactly 50/(6 n_t); the wider interval has mass 3/50."""
-    exact = CategoryDistribution(
-        50, np.array([Fraction(1, 50)] * 50, dtype=object))
-    assert exact.interval_prob(34, 36) == Fraction(3, 50)
+    and [34,36] is exactly 50/(6 n_t), by the coalescing rules' oracle
+    on exact rationals and in the row the sampler draws from."""
+    exact = [Fraction(1, 50)] * 50
     # two one-vertex paths, each respondent naming one friend
     forest = SampleForest(tree=[0, 0, 1, 1], parent=[-1, 0, -1, 2],
                           kind=[RESPONDENT, FRIEND, RESPONDENT, FRIEND],
                           lo=[10, 33, 20, 34], hi=[10, 34, 20, 36], g=50)
     for n_t in (9, 20, 50):
-        state = ReconState(forest, exact, n_t=n_t)
-        p = pair_probability(state, 1, 3)
-        assert isinstance(p, Fraction)
-        assert p == Fraction(50, 6 * n_t)
-    floats = ReconState(forest, uniform_distribution(50), n_t=20)
-    assert pair_probability(floats, 1, 3) == pytest.approx(50 / (6 * 20))
+        _, probs = coalescing_reference(
+            forest.kind == RESPONDENT, forest.lo, forest.hi, forest.parent,
+            [[0], [1], [2], [3]], exact, n_t)
+        assert isinstance(probs[1, 3], Fraction)
+        assert probs[1, 3] == Fraction(50, 6 * n_t)
+        ids, w = ReconState(forest, uniform_distribution(50), n_t).row(1)
+        assert ids.tolist() == [3]
+        assert w[0] == pytest.approx(50 / (6 * n_t))
 
 
 def test_02_perfect_information_reconstruction():

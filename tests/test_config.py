@@ -102,6 +102,12 @@ def test_validation_rejects_n_t_frac_outside_unit_interval(frac):
     ("sir_beta = 2", "beta must lie in"),
     ("sir_init_frac = 0", "init_frac must lie in"),
     ("sir_steps = 0", "infectious_steps must be positive"),
+    ("k_max = 1", "degree targets must be at least 2"),
+    ("mu = 0.1, 1.5", "mu must lie in"),
+    ("c_min = 50", "c_min <= c_max"),
+    ("tau1 = 1", "power-law exponents out of range"),
+    ("k_avg = 30", "k_avg cannot exceed k_max"),
+    ("k_max = 400", "k_max must be below n"),
 ])
 def test_validation_rejects_bad_sweep_and_sir_values(line, message):
     with pytest.raises(ValueError, match=message):

@@ -23,12 +23,12 @@ def test_from_edges_counts_and_queries():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 1)])
     assert g.n == 5
     assert g.m == 3
-    assert g.degree(1) == 3
-    assert g.degree(4) == 0
+    assert g.degrees[1] == 3
+    assert g.degrees[4] == 0
     assert list(g.neighbors(1)) == [0, 2, 3]
-    assert g.is_edge(0, 1) and g.is_edge(1, 0)
-    assert not g.is_edge(0, 2)
-    assert not g.is_edge(4, 0)
+    assert 1 in g.neighbors(0) and 0 in g.neighbors(1)
+    assert 2 not in g.neighbors(0)
+    assert 0 not in g.neighbors(4)
 
 
 def test_from_edges_drops_duplicates_and_loops():
@@ -36,7 +36,7 @@ def test_from_edges_drops_duplicates_and_loops():
     assert g.m == 2
     assert g.dropped_duplicates == 2
     assert g.dropped_self_loops == 1
-    assert not g.is_edge(2, 2)
+    assert 2 not in g.neighbors(2)
 
 
 def test_from_edges_rejects_out_of_range():
@@ -75,10 +75,6 @@ def test_vertex_queries_validate_range():
     for bad in (-1, 3):
         with pytest.raises(IndexError):
             g.neighbors(bad)
-        with pytest.raises(IndexError):
-            g.degree(bad)
-        with pytest.raises(IndexError):
-            g.is_edge(bad, 0)
 
 
 def test_edge_list_round_trip(tmp_path):
@@ -96,7 +92,7 @@ def test_load_edge_list_compacts_labels():
     g = load_edge_list(io.StringIO("10 30\n30 20\n"))
     assert g.n == 3
     assert list(g.labels) == [10, 20, 30]
-    assert g.is_edge(0, 2) and g.is_edge(2, 1)
+    assert 2 in g.neighbors(0) and 1 in g.neighbors(2)
 
 
 def test_load_edge_list_skips_comments_and_blanks():

@@ -2,7 +2,6 @@
 
 import tracemalloc
 from collections import Counter
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from netrecon import (
     coalescing_precision,
     elicit_friends,
     generate_lfr_like,
-    pair_probability,
     reconstruct,
     sample_paths,
     true_network,
@@ -31,7 +29,6 @@ from netrecon.sampling import SampleForest
 from oracles import coalescing_reference, groups_of, replay_merges
 
 UNIFORM50 = uniform_distribution(50)
-EXACT50 = CategoryDistribution(50, np.array([Fraction(1, 50)] * 50, dtype=object))
 
 
 def hand_forest():
@@ -55,63 +52,52 @@ def hand_forest():
     )
 
 
-def test_pr_description():
-    assert UNIFORM50.interval_prob(34, 36) == pytest.approx(3 / 50)
-    assert EXACT50.interval_prob(34, 36) == Fraction(3, 50)
-    spike = np.zeros(10)
-    spike[0] = 1.0
-    assert CategoryDistribution(10, spike).interval_prob(5, 7) == 0.0
+def weight(state, a, b):
+    """The weight of b in group a's row; None when b is no candidate."""
+    ids, w = state.row(a)
+    k = np.flatnonzero(ids == b)
+    return float(w[k[0]]) if k.size else None
 
 
 def test_pair_probability_respondent_friend():
     # respondent 0 (category 34) against the non-adjacent friend [34, 36]:
     # 1 / (n_t * Pr([34,36])) = 50 / (3 * 25), below the clamp at n_t = 25
     state = ReconState(hand_forest(), UNIFORM50, n_t=25)
-    assert pair_probability(state, 0, 3) == pytest.approx(50 / (3 * 25))
+    assert weight(state, 0, 3) == pytest.approx(50 / (3 * 25))
     state = ReconState(hand_forest(), UNIFORM50, n_t=10)
     # same pair at n_t = 10: the raw ratio 5/3 caps at one
-    assert pair_probability(state, 0, 3) == 1.0
-    # category outside the interval
-    assert pair_probability(state, 2, 1) == 0.0
+    assert weight(state, 0, 3) == pytest.approx(1.0)
+    # category outside the interval: no candidate
+    assert weight(state, 2, 1) is None
     # adjacency: a respondent is never its own report
-    assert pair_probability(state, 0, 1) == 0.0
+    assert weight(state, 0, 1) == 0.0
 
 
 def test_pair_probability_friend_friend():
     state = ReconState(hand_forest(), UNIFORM50, n_t=10)
     # [33,34] x [34,36]: intersection {34}
-    assert pair_probability(state, 1, 3) == pytest.approx(50 / (6 * 10))
+    assert weight(state, 1, 3) == pytest.approx(50 / (6 * 10))
     # [34,36] x [36,40]: intersection {36}
-    assert pair_probability(state, 3, 5) == pytest.approx(10 / (3 * 10))
-    # disjoint intervals
-    assert pair_probability(state, 1, 5) == 0.0
+    assert weight(state, 3, 5) == pytest.approx(10 / (3 * 10))
+    # disjoint intervals: no candidate
+    assert weight(state, 1, 5) is None
     # same reporting respondent
-    assert pair_probability(state, 1, 6) == 0.0
+    assert weight(state, 1, 6) == 0.0
 
 
 def test_pair_probability_respondent_pair_and_errors():
     state = ReconState(hand_forest(), UNIFORM50, n_t=10)
-    assert pair_probability(state, 0, 2) == 0.0
-    assert pair_probability(state, 0, 4) == 0.0
-    with pytest.raises(ValueError):
-        pair_probability(state, 3, 3)
-
-
-def test_pair_probability_exact_rationals():
-    # n_t values keeping 50 / (6 n_t) below the clamp
-    for n_t in (9, 10, 33):
-        state = ReconState(hand_forest(), EXACT50, n_t=n_t)
-        p = pair_probability(state, 1, 3)
-        assert isinstance(p, Fraction)
-        assert p == Fraction(50, 6 * n_t)
+    assert weight(state, 0, 2) is None
+    assert weight(state, 0, 4) is None
+    with pytest.raises(ValueError, match="respondent groups never merge"):
+        state.merge(0, 2)
 
 
 def test_pair_probability_clamps_to_one():
     state = ReconState(hand_forest(), UNIFORM50, n_t=1)
-    # the raw ratio 50/3 exceeds 1
-    assert pair_probability(state, 0, 3) == 1
-    exact = ReconState(hand_forest(), EXACT50, n_t=1)
-    assert pair_probability(exact, 1, 3) == 1
+    # the raw ratios 50/3 and 50/6 exceed 1
+    assert weight(state, 0, 3) == pytest.approx(1.0)
+    assert weight(state, 1, 3) == pytest.approx(1.0)
 
 
 def test_zero_support_description():
@@ -119,7 +105,8 @@ def test_zero_support_description():
     p[:10] = 0.1
     dist = CategoryDistribution(50, p)  # no mass above category 10
     state = ReconState(hand_forest(), dist, n_t=10)
-    assert pair_probability(state, 1, 3) == 0.0  # Pr([34,36]) = 0
+    for i in range(7):
+        assert not state.row(i)[1].any()  # every friend interval has Pr = 0
 
 
 def test_state_rejects_mismatched_distribution():
