@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .epidemic import DEFAULT_STRATEGIES, PROPERTIES, STRATEGY_KINDS, SirParams
-from .generate import LfrParams
+from .generate import LfrParams, _degree_cutoff
 from .sampling import METHODS
 
 __all__ = ["ExperimentConfig", "SweepPoint", "parse_config"]
@@ -100,6 +100,7 @@ class ExperimentConfig:
             for mu in self.mu:
                 LfrParams(self.n, self.k_avg, self.k_max, mu, self.tau1,
                           self.tau2, self.c_min, self.c_max)
+            _degree_cutoff(self.k_avg, self.k_max, self.tau1)
         else:
             if not self.edgelist_path:
                 raise ValueError("network = edgelist needs edgelist_path")

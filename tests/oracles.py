@@ -8,12 +8,12 @@ These are O(n^2) or worse and meant only for small instances.
 The random-process references draw from the same NumPy generator as the
 package, in the plainest form of the process.  They come in two kinds.
 Stream oracles (:func:`assign_communities_reference`,
-:func:`make_assortative_reference`) draw the very same random numbers in
-the same order as the package, so a faster rewrite must give the very
-same result and leave the generator in the very same state.  Law oracles
-(:func:`randomize_edges_reference`, :func:`sir_reference`) run the same
-random process from other draws, so a rewrite is checked against them by
-statistical tests over many seeds.
+:func:`make_assortative_reference`, :func:`greedy_modularity_reference`)
+draw the very same random numbers in the same order as the package, so a
+faster rewrite must give the very same result and leave the generator in
+the very same state.  Law oracles (:func:`randomize_edges_reference`,
+:func:`sir_reference`) run the same random process from other draws, so
+a rewrite is checked against them by statistical tests over many seeds.
 """
 
 from __future__ import annotations
@@ -411,3 +411,96 @@ def reachable_reference(n, edges, immunized, seeds):
                 seen.add(v)
                 queue.append(v)
     return len(seen)
+
+
+def local_moves_reference(adj, loops, rng):
+    """One level of greedy vertex moves on numpy scalars; returns
+    (labels, any_moved).
+
+    Sweeps the vertices in ``rng.permutation`` order and moves each into
+    the neighboring community of largest modularity gain, ties to the
+    lowest label, by a strict 1e-12 margin, until a sweep moves nothing.
+    ``two_m`` is numpy's pairwise sum of the strengths.
+    """
+    import numpy as np
+
+    n = len(adj)
+    strength = np.array([sum(a.values()) for a in adj]) + 2.0 * loops
+    two_m = strength.sum()
+    comm = np.arange(n)
+    if two_m == 0:
+        return comm, False
+    tot = strength.copy()
+    moved_any = False
+    for _ in range(100):
+        moved = False
+        for i in rng.permutation(n):
+            ci = comm[i]
+            w_c = {}
+            for j, w in adj[i].items():
+                cj = comm[j]
+                w_c[cj] = w_c.get(cj, 0.0) + w
+            tot[ci] -= strength[i]
+            best_c = ci
+            best_gain = w_c.get(ci, 0.0) - strength[i] * tot[ci] / two_m
+            for c in sorted(w_c):
+                if c == ci:
+                    continue
+                gain = w_c[c] - strength[i] * tot[c] / two_m
+                if gain > best_gain + 1e-12:
+                    best_c, best_gain = c, gain
+            tot[best_c] += strength[i]
+            if best_c != ci:
+                comm[i] = best_c
+                moved = moved_any = True
+        if not moved:
+            break
+    return comm, moved_any
+
+
+def aggregate_reference(adj, loops, comm):
+    """Collapse communities into super-vertices, numbered in ascending
+    label order, with summed weights; returns (adj, loops, dense)."""
+    import numpy as np
+
+    labels, dense = np.unique(comm, return_inverse=True)
+    k = labels.size
+    new_adj = [{} for _ in range(k)]
+    new_loops = np.zeros(k)
+    for i, a in enumerate(adj):
+        ci = dense[i]
+        new_loops[ci] += loops[i]
+        for j, w in a.items():
+            if j <= i:
+                continue
+            cj = dense[j]
+            if ci == cj:
+                new_loops[ci] += w
+            else:
+                new_adj[ci][cj] = new_adj[ci].get(cj, 0.0) + w
+                new_adj[cj][ci] = new_adj[cj].get(ci, 0.0) + w
+    return new_adj, new_loops, dense
+
+
+def greedy_modularity_reference(g, seed):
+    """Greedy modularity optimization: the local moves and aggregation of
+    Blondel et al., J. Stat. Mech. (2008) P10008.
+
+    Repeats :func:`local_moves_reference` and
+    :func:`aggregate_reference` until no vertex moves.  Returns
+    ``(assignment, adj, loops)``: each vertex's top-level super-vertex,
+    and that level's weighted adjacency dicts and self-loop weights.
+    """
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    adj = [{int(j): 1.0 for j in g.neighbors(v)} for v in range(g.n)]
+    loops = np.zeros(g.n)
+    assignment = np.arange(g.n)
+    for _ in range(100):
+        comm, moved = local_moves_reference(adj, loops, rng)
+        if not moved:
+            break
+        adj, loops, dense = aggregate_reference(adj, loops, comm)
+        assignment = dense[assignment]
+    return assignment, adj, loops

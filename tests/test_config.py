@@ -108,6 +108,7 @@ def test_validation_rejects_n_t_frac_outside_unit_interval(frac):
     ("tau1 = 1", "power-law exponents out of range"),
     ("k_avg = 30", "k_avg cannot exceed k_max"),
     ("k_max = 400", "k_max must be below n"),
+    ("k_avg = 2\nk_max = 100\ntau1 = 1.1", "cannot reach mean degree 2.0"),
 ])
 def test_validation_rejects_bad_sweep_and_sir_values(line, message):
     with pytest.raises(ValueError, match=message):
