@@ -15,7 +15,9 @@ results through plain files in the output directory:
 Each stage command reads its input files, calls the same stage function
 of :mod:`netrecon.pipeline` that ``run`` calls (at repetition 0), and
 writes the result, so chaining them reproduces the corresponding rows
-of a full ``run``.
+of a full ``run``.  ``recon.edges`` is written for inspection only: the
+later stages rebuild the reconstruction from forest.txt and
+provenance.txt.
 """
 
 from __future__ import annotations
@@ -26,19 +28,18 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .attributes import AttributeMap
 from .communities import modularity
 from .config import ExperimentConfig, load_config
-from .generate import generate_lfr_like, realized_mixing
+from .generate import realized_mixing
 from .graph import Graph, load_edge_list, read_partition, write_edge_list, write_partition
 from .pipeline import (EPIDEMIC_HEADER, METRIC_HEADER, STAGES, _attributes,
-                       _communities, _distribution, _lfr_params,
-                       _reconstruct, _sample, _score, _write_csv,
-                       epidemic_rows_for_point, run_pipeline)
+                       _communities, _distribution, _network, _reconstruct,
+                       _sample, _score, _write_csv, epidemic_rows_for_point,
+                       run_pipeline)
 from .reconstruct import MergeEvent, ReconResult
-from .sampling import read_forest, read_truth, write_forest, write_truth
+from .sampling import (SampleForest, coalesced_network, read_forest, read_truth,
+                       write_forest, write_truth)
 
 __all__ = ["main"]
 
@@ -81,13 +82,12 @@ def cmd_run(cfg: ExperimentConfig, args) -> int:
 
 def cmd_generate(cfg: ExperimentConfig, args) -> int:
     point = _single_point(cfg)
-    if cfg.network == "lfr":
-        graph, planted = generate_lfr_like(_lfr_params(cfg, point, 0))
+    graph, planted = _network(cfg, point, 0)
+    if planted is not None:
         write_partition(planted, _out_path(cfg, "planted.txt"))
         print(f"n={graph.n} m={graph.m} "
               f"mixing={realized_mixing(graph, planted):.4f}")
     else:
-        graph = load_edge_list(cfg.edgelist_path)
         print(f"n={graph.n} m={graph.m} "
               f"(dropped {graph.dropped_duplicates} duplicate, "
               f"{graph.dropped_self_loops} self-loop lines)")
@@ -160,28 +160,15 @@ def cmd_reconstruct(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
-def _load_recon(cfg: ExperimentConfig) -> ReconResult:
-    """Rebuild the reconstruction from recon.edges, provenance.txt and
-    merges.csv.
-
-    The provenance table names every vertex, so vertices isolated in the
-    edge file (which cannot represent them) are restored here.  The
-    files do not keep the attempt count, which reads 0.
+def _load_recon(cfg: ExperimentConfig, forest: SampleForest) -> ReconResult:
+    """Rebuild the reconstruction of ``forest`` from provenance.txt and
+    merges.csv.  The files do not keep the attempt count, which reads 0.
     """
-    provenance = read_partition(os.path.join(cfg.out, "provenance.txt"))
-    n = int(provenance.max()) + 1
-    path = os.path.join(cfg.out, "recon.edges")
-    with open(path, "r", encoding="utf-8") as fh:
-        has_edges = any(line.split("#", 1)[0].strip() for line in fh)
-    if has_edges:
-        loaded = load_edge_list(path)
-        dense = loaded.edges()
-        edges = np.column_stack([loaded.labels[dense[:, 0]],
-                                 loaded.labels[dense[:, 1]]])
-    else:
-        edges = np.zeros((0, 2), dtype=np.int64)
+    provenance = read_partition(os.path.join(cfg.out, "provenance.txt"),
+                                n=forest.size)
     log = _read_merges(os.path.join(cfg.out, "merges.csv"))
-    return ReconResult(Graph.from_edges(n, edges), provenance, log, attempts=0)
+    return ReconResult(coalesced_network(forest, provenance), provenance, log,
+                       attempts=0)
 
 
 def cmd_communities(cfg: ExperimentConfig, args) -> int:
@@ -191,8 +178,9 @@ def cmd_communities(cfg: ExperimentConfig, args) -> int:
     write_partition(labels, _out_path(cfg, "communities_network.txt"))
     print(f"network: {labels.max() + 1} communities, "
           f"modularity={modularity(graph, labels):.4f}")
-    if os.path.exists(os.path.join(cfg.out, "recon.edges")):
-        rgraph = _load_recon(cfg).graph
+    if os.path.exists(os.path.join(cfg.out, "provenance.txt")):
+        forest = read_forest(os.path.join(cfg.out, "forest.txt"), g=point.g)
+        rgraph = _load_recon(cfg, forest).graph
         rlabels = _communities(cfg, point, 0, rgraph, "recon")
         write_partition(rlabels, _out_path(cfg, "communities_recon.txt"))
         print(f"reconstruction: {rlabels.max() + 1} communities, "
@@ -203,9 +191,9 @@ def cmd_communities(cfg: ExperimentConfig, args) -> int:
 def cmd_metrics(cfg: ExperimentConfig, args) -> int:
     """Score the artifacts in the output directory (single point, rep 0)."""
     point = _single_point(cfg)
+    forest = _load_forest(cfg, point)
     rows_prec, rows_comm, rows_rank, errors = _score(
-        cfg, point, 0, _load_network(cfg), _load_forest(cfg, point),
-        _load_recon(cfg))
+        cfg, point, 0, _load_network(cfg), forest, _load_recon(cfg, forest))
     _write_csv(_out_path(cfg, "precision.csv"), METRIC_HEADER, rows_prec)
     _write_csv(_out_path(cfg, "community.csv"), METRIC_HEADER, rows_comm)
     _write_csv(_out_path(cfg, "rank.csv"), METRIC_HEADER, rows_rank)

@@ -2,17 +2,19 @@
 
 A config names exactly one network source (synthetic parameters or an
 edge-list path), the attribute and sampling settings, and the axes to
-sweep.  List-valued keys (comma separated) define the sweep grid:
-``g``, ``c``, ``f``, ``mu``, ``n_t_frac``, ``method``, ``assortative``.
-Everything else is a scalar.
+sweep.  Each key parses as the type of its :class:`ExperimentConfig`
+field; tuple fields take comma-separated lists, and the lists ``g``,
+``c``, ``f``, ``mu``, ``n_t_frac``, ``method``, ``assortative`` define
+the sweep grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import get_args, get_origin, get_type_hints
 
-from .epidemic import DEFAULT_STRATEGIES, PROPERTIES, STRATEGY_KINDS, SirParams
+from .epidemic import DEFAULT_STRATEGIES, SirParams, StrategySpec
 from .generate import LfrParams, _degree_cutoff
 from .sampling import METHODS
 
@@ -55,23 +57,23 @@ class ExperimentConfig:
     tau2: float = 1.0
     c_min: int = 0
     c_max: int = 0
-    mu: tuple = ()
+    mu: tuple[float, ...] = ()
 
     # attributes
     distribution: str = "normal"
-    g: tuple = ()
-    assortative: tuple = (False,)
+    g: tuple[int, ...] = ()
+    assortative: tuple[bool, ...] = (False,)
     assort_attempts_per_vertex: int = 100
 
     # sampling
-    method: tuple = METHODS[:1]
+    method: tuple[str, ...] = METHODS[:1]
     n_r_frac: float = 0.08
-    f: tuple = (5,)
-    c: tuple = (1,)
+    f: tuple[int, ...] = (5,)
+    c: tuple[int, ...] = (1,)
 
     # reconstruction
     n_t_rule: str = "true-network-size"
-    n_t_frac: tuple = ()
+    n_t_frac: tuple[float, ...] = ()
 
     # repetitions
     repetitions: int = 20
@@ -79,8 +81,8 @@ class ExperimentConfig:
 
     # epidemics
     epidemic: bool = False
-    budgets: tuple = (0.05,)
-    strategies: tuple = DEFAULT_STRATEGIES
+    budgets: tuple[float, ...] = (0.05,)
+    strategies: tuple[str, ...] = DEFAULT_STRATEGIES
     sir_runs: int = 200
     sir_init_frac: float = 0.002
     sir_beta: float = 0.08
@@ -145,13 +147,8 @@ class ExperimentConfig:
 def parse_strategy(token: str):
     """Parse a ``kind`` or ``kind:property`` strategy token."""
     kind, _, prop = token.partition(":")
-    kind = kind.strip()
-    prop = prop.strip() or "degree"
-    if kind not in STRATEGY_KINDS:
-        raise ValueError(f"unknown strategy {kind!r}")
-    if prop not in PROPERTIES:
-        raise ValueError(f"unknown strategy property {prop!r}")
-    return kind, prop
+    spec = StrategySpec(kind.strip(), budget=0, property=prop.strip() or "degree")
+    return spec.kind, spec.property
 
 
 _BOOL_TOKENS = {"true": True, "yes": True, "1": True,
@@ -165,22 +162,29 @@ def _as_bool(tok: str) -> bool:
         raise ValueError(f"expected a boolean, got {tok!r}") from None
 
 
-_INT_KEYS = {"n", "k_max", "c_min", "c_max", "repetitions", "ensemble",
-             "sir_runs", "sir_steps", "seed", "assort_attempts_per_vertex"}
-_FLOAT_KEYS = {"k_avg", "tau1", "tau2", "n_r_frac", "sir_init_frac", "sir_beta"}
-_STR_KEYS = {"network", "edgelist_path", "distribution", "n_t_rule", "out"}
-_BOOL_KEYS = {"epidemic"}
-_INT_LIST_KEYS = {"g", "c", "f"}
-_FLOAT_LIST_KEYS = {"mu", "n_t_frac", "budgets"}
-_STR_LIST_KEYS = {"method", "strategies"}
-_BOOL_LIST_KEYS = {"assortative"}
+_SCALARS = {int: int, float: float, str: str.strip, bool: _as_bool}
+
+
+def _parser(hint):
+    """The value parser of a field annotated ``hint``: a scalar, an
+    optional scalar, or a ``tuple[scalar, ...]`` list."""
+    args = [a for a in get_args(hint) if a is not type(None)]
+    if get_origin(hint) is tuple:
+        item = _SCALARS[args[0]]
+        return lambda raw: tuple(item(t) for t in raw.split(","))
+    return _SCALARS[args[0] if args else hint]
+
+
+_PARSERS = {key: _parser(hint)
+            for key, hint in get_type_hints(ExperimentConfig).items()}
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse key = value lines into an :class:`ExperimentConfig`.
 
-    Blank lines and ``#`` comments are ignored; unknown keys are an
-    error so typos do not silently fall back to defaults.
+    Blank lines and ``#`` comments are ignored.  Unknown and repeated
+    keys are an error, so typos do not silently fall back to defaults
+    and a later line does not silently override an earlier one.
     """
     values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -191,25 +195,14 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"line {lineno}: expected key = value")
         key, _, raw = s.partition("=")
         key = key.strip()
-        raw = raw.strip()
-        if key in _INT_KEYS:
-            values[key] = int(raw)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(raw)
-        elif key in _STR_KEYS:
-            values[key] = raw
-        elif key in _BOOL_KEYS:
-            values[key] = _as_bool(raw)
-        elif key in _INT_LIST_KEYS:
-            values[key] = tuple(int(t) for t in raw.split(","))
-        elif key in _FLOAT_LIST_KEYS:
-            values[key] = tuple(float(t) for t in raw.split(","))
-        elif key in _STR_LIST_KEYS:
-            values[key] = tuple(t.strip() for t in raw.split(","))
-        elif key in _BOOL_LIST_KEYS:
-            values[key] = tuple(_as_bool(t) for t in raw.split(","))
-        else:
+        if key not in _PARSERS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ValueError(f"line {lineno}: duplicate key {key!r}")
+        try:
+            values[key] = _PARSERS[key](raw.strip())
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {key}: {exc}") from None
     cfg = ExperimentConfig(**values)
     cfg.validate()
     return cfg

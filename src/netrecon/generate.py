@@ -27,6 +27,9 @@ from .graph import Graph
 
 __all__ = ["LfrParams", "generate_lfr_like", "realized_mixing"]
 
+SWAP_ROUNDS = 10  # double-edge swap attempts per edge in _randomize_edges
+REPAIR_PASSES = 80  # collision-repair passes in _match_stubs
+
 
 @dataclass(frozen=True)
 class LfrParams:
@@ -224,11 +227,11 @@ def _havel_hakimi_edges(members: np.ndarray,
     return edges
 
 
-def _randomize_edges(edges: list[tuple[int, int]], rng: np.random.Generator,
-                     rounds: int = 10) -> list[tuple[int, int]]:
+def _randomize_edges(edges: list[tuple[int, int]],
+                     rng: np.random.Generator) -> list[tuple[int, int]]:
     """Shuffle a fixed-degree simple graph by double-edge swaps.
 
-    Each of the ``rounds * n_e`` attempts picks two edge indices i, j and
+    Each of the ``SWAP_ROUNDS * n_e`` attempts picks two edge indices i, j and
     an orientation coin; edges (a, b) and (c, d), with (c, d) reversed on
     heads, become (a, d) and (c, b) unless that makes a self-loop or a
     duplicate.  All proposals of a call are drawn up front, in three bulk
@@ -243,7 +246,7 @@ def _randomize_edges(edges: list[tuple[int, int]], rng: np.random.Generator,
     edge_set = set(edges)
     edges = list(edges)
     n_e = len(edges)
-    attempts = rounds * n_e
+    attempts = SWAP_ROUNDS * n_e
     first = rng.integers(n_e, size=attempts).tolist()
     second = rng.integers(n_e, size=attempts).tolist()
     flips = (rng.random(attempts) < 0.5).tolist()
@@ -270,7 +273,7 @@ def _randomize_edges(edges: list[tuple[int, int]], rng: np.random.Generator,
 
 
 def _match_stubs(stubs: np.ndarray, rng: np.random.Generator,
-                 labels: np.ndarray, passes: int = 80) -> list[tuple[int, int]]:
+                 labels: np.ndarray) -> list[tuple[int, int]]:
     """Pair stubs into simple edges crossing community labels.
 
     Collisions (self-pair, same community, duplicate) are repaired by
@@ -299,7 +302,7 @@ def _match_stubs(stubs: np.ndarray, rng: np.random.Generator,
                 seen[key] = i
         return bad | dup
 
-    for _ in range(passes):
+    for _ in range(REPAIR_PASSES):
         bad = bad_mask()
         idx = np.flatnonzero(bad)
         if idx.size == 0:

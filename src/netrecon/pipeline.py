@@ -94,20 +94,17 @@ def _memoized(memo: dict | None, key: tuple, build):
     return memo[key]
 
 
-def _lfr_params(cfg: ExperimentConfig, point: SweepPoint, rep) -> LfrParams:
-    return LfrParams(n=cfg.n, k_avg=cfg.k_avg, k_max=cfg.k_max, mu=point.mu,
-                     tau1=cfg.tau1, tau2=cfg.tau2, c_min=cfg.c_min,
-                     c_max=cfg.c_max,
-                     seed=derive_seed(cfg.seed, "generate", repr(point.mu), rep))
-
-
 def _network(cfg: ExperimentConfig, point: SweepPoint, rep,
-             memo: dict | None = None) -> Graph:
-    def build() -> Graph:
+             memo: dict | None = None) -> tuple[Graph, np.ndarray | None]:
+    """The network of (point.mu, rep) and its planted partition, which a
+    loaded edge list does not have (None)."""
+    def build() -> tuple[Graph, np.ndarray | None]:
         if cfg.network == "edgelist":
-            return load_edge_list(cfg.edgelist_path)
-        graph, _ = generate_lfr_like(_lfr_params(cfg, point, rep))
-        return graph
+            return load_edge_list(cfg.edgelist_path), None
+        return generate_lfr_like(LfrParams(
+            n=cfg.n, k_avg=cfg.k_avg, k_max=cfg.k_max, mu=point.mu,
+            tau1=cfg.tau1, tau2=cfg.tau2, c_min=cfg.c_min, c_max=cfg.c_max,
+            seed=derive_seed(cfg.seed, "generate", repr(point.mu), rep)))
     return _memoized(memo, ("network", point.mu, rep), build)
 
 
@@ -266,7 +263,7 @@ def metric_rows_for_point(cfg: ExperimentConfig, point: SweepPoint, rep: int,
     errors: list[list[str]] = []
     cells = _param_cells(cfg, point, rep)
     try:
-        graph = _network(cfg, point, rep, memo)
+        graph, _ = _network(cfg, point, rep, memo)
         attrs, dist = _attributes(cfg, point, rep, graph, memo)
         forest = _sample(cfg, point, rep, graph, attrs)
         result = _reconstruct(cfg, point, rep, graph.n, forest, dist, errors)
@@ -295,7 +292,7 @@ def epidemic_rows_for_point(cfg: ExperimentConfig, method: str,
     point = _pinned_point(cfg, method, n_t_frac)
     cells = _param_cells(cfg, point, rep)
     try:
-        graph = _network(cfg, point, rep)
+        graph, _ = _network(cfg, point, rep)
         attrs, dist = _attributes(cfg, point, rep, graph)
         ensemble: list[Graph] = []
         projections: list[np.ndarray] = []
@@ -315,7 +312,7 @@ def epidemic_rows_for_point(cfg: ExperimentConfig, method: str,
     for token in cfg.strategies:
         kind, prop = parse_strategy(token)
         for budget in cfg.budgets:
-            count = max(1, round(budget * graph.n))
+            count = max(1, round(budget * graph.n)) if budget > 0 else 0
             spec = StrategySpec(kind=kind, budget=count, property=prop)
             seed = derive_seed(cfg.seed, "epidemic", point.key(), kind, prop,
                                repr(budget), rep)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .attributes import CategoryDistribution
 from .graph import Graph
-from .sampling import FRIEND, RESPONDENT, SampleForest
+from .sampling import FRIEND, RESPONDENT, SampleForest, coalesced_network
 
 __all__ = [
     "MergeEvent",
@@ -311,15 +311,13 @@ class ReconState:
             "weight row sums out of date"
 
 
-def _result(state: ReconState, log: list[MergeEvent], attempts: int) -> ReconResult:
-    alive_ids = np.flatnonzero(state.alive).tolist()
+def _result(forest: SampleForest, state: ReconState, log: list[MergeEvent],
+            attempts: int) -> ReconResult:
     vid = np.cumsum(state.alive) - 1  # the vertex of each alive group
     prov = np.empty(state.kind.size, dtype=np.int64)
-    for gid in alive_ids:
+    for gid in np.flatnonzero(state.alive).tolist():
         prov[state.members[gid]] = vid[gid]
-    edges = [(vid[gid], vid[x]) for gid in alive_ids for x in state.adj[gid] if gid < x]
-    graph = Graph.from_edges(len(alive_ids), np.asarray(edges, dtype=np.int64).reshape(-1, 2))
-    return ReconResult(graph, prov, log, attempts)
+    return ReconResult(coalesced_network(forest, prov), prov, log, attempts)
 
 
 def _draw(cum: np.ndarray, u: float) -> int:
@@ -369,18 +367,19 @@ def reconstruct(forest: SampleForest, dist: CategoryDistribution, n_t: int,
         if state.n_pairs == 0:
             raise ReconstructionStalled(
                 f"no candidate pairs left at size {state.n_alive} (target {n_t})",
-                _result(state, log, attempts))
+                _result(forest, state, log, attempts))
         # a row with no positive weight left may still hold rounding residue
         cum = np.cumsum(np.where(state.w_pos > 0, state.w_sum, 0.0))
         if cum[-1] <= 0:
             raise ReconstructionStalled(
                 "no candidate pair has positive merge probability at size "
-                f"{state.n_alive} (target {n_t})", _result(state, log, attempts))
+                f"{state.n_alive} (target {n_t})",
+                _result(forest, state, log, attempts))
         attempts += int(rng.geometric(min(1.0, float(cum[-1]) / 2 / state.n_pairs)))
         if attempts > max_attempts:
             raise ReconstructionStalled(
                 f"attempt budget {max_attempts} exhausted at size {state.n_alive} "
-                f"(target {n_t})", _result(state, log, max_attempts))
+                f"(target {n_t})", _result(forest, state, log, max_attempts))
         a = _draw(cum, rng.random())
         ids, w = state.row(a)
         k = _draw(np.cumsum(w), rng.random())
@@ -390,4 +389,4 @@ def reconstruct(forest: SampleForest, dist: CategoryDistribution, n_t: int,
         state.merge(a, b)
         if validate:
             state.check_invariants(forest)
-    return _result(state, log, attempts)
+    return _result(forest, state, log, attempts)

@@ -32,6 +32,7 @@ __all__ = [
     "METHODS",
     "sample_paths",
     "elicit_friends",
+    "coalesced_network",
     "true_network",
     "write_forest",
     "read_forest",
@@ -233,10 +234,18 @@ def true_network(forest: SampleForest) -> tuple[Graph, np.ndarray]:
     if forest.truth is None:
         raise ValueError("forest carries no truth mapping")
     ids, dense = np.unique(forest.truth, return_inverse=True)
+    return coalesced_network(forest, dense, labels=ids), dense
+
+
+def coalesced_network(forest: SampleForest, vertex_of: np.ndarray,
+                      labels=None) -> Graph:
+    """The simple graph of the forest's tree edges, each occurrence
+    mapped to the dense vertex id ``vertex_of[occ]``; edges that land on
+    one vertex or repeat are dropped and counted on the graph."""
     child = np.flatnonzero(forest.parent >= 0)
-    pairs = np.column_stack([dense[forest.parent[child]], dense[child]])
-    graph = Graph.from_edges(ids.size, pairs, labels=ids)
-    return graph, dense
+    pairs = np.column_stack([vertex_of[forest.parent[child]], vertex_of[child]])
+    return Graph.from_edges(int(vertex_of.max(initial=-1)) + 1, pairs,
+                            labels=labels)
 
 
 # -- forest files ---------------------------------------------------------

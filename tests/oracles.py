@@ -182,6 +182,20 @@ def replay_merges(n_occurrences, events):
     return frozenset(frozenset(s) for s in members.values())
 
 
+def group_graph_reference(groups, parent):
+    """The graph that the tree edges induce between groups of occurrences.
+
+    ``groups`` is a collection of frozensets of occurrences (as from
+    :func:`replay_merges`) and ``parent[occ]`` the occurrence that named
+    occ, -1 for none.  Returns a set of edges, each the frozenset of the
+    two groups it joins; a tree edge inside one group gives a one-element
+    set.
+    """
+    group_of = {occ: grp for grp in groups for occ in grp}
+    return {frozenset((group_of[child], group_of[par]))
+            for child, par in enumerate(parent) if par >= 0}
+
+
 def groups_of(assignment):
     """The grouping induced by an id-per-element array, same shape as
     the :func:`replay_merges` result."""

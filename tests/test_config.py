@@ -1,5 +1,7 @@
 """Flat key = value experiment configs and sweep-grid expansion."""
 
+from dataclasses import fields, replace
+
 import pytest
 
 from netrecon.config import ExperimentConfig, load_config, parse_config, parse_strategy
@@ -23,6 +25,15 @@ repetitions = 3
 seed = 7
 out = results
 """
+
+
+def good_with(lines: str) -> str:
+    """GOOD with each ``key = value`` of ``lines`` in place of that key's
+    own line, since a config may set a key only once."""
+    keys = {line.partition("=")[0].strip() for line in lines.splitlines()}
+    kept = [line for line in GOOD.splitlines()
+            if line.partition("=")[0].strip() not in keys]
+    return "\n".join(kept) + f"\n{lines}\n"
 
 
 def test_parse_good_config():
@@ -76,9 +87,9 @@ def test_validation_network_source():
 
 def test_validation_various():
     with pytest.raises(ValueError, match="unknown sampling method"):
-        parse_config(GOOD + "\nmethod = dfs\n")
+        parse_config(good_with("method = dfs"))
     with pytest.raises(ValueError, match="unknown distribution"):
-        parse_config(GOOD + "\ndistribution = zipf\n")
+        parse_config(good_with("distribution = zipf"))
     with pytest.raises(ValueError, match="n_t rule"):
         parse_config(GOOD + "\nn_t_rule = half\n")
     with pytest.raises(ValueError, match="needs n_t_frac"):
@@ -112,7 +123,7 @@ def test_validation_rejects_n_t_frac_outside_unit_interval(frac):
 ])
 def test_validation_rejects_bad_sweep_and_sir_values(line, message):
     with pytest.raises(ValueError, match=message):
-        parse_config(GOOD + f"\n{line}\n")
+        parse_config(good_with(line))
 
 
 def test_fraction_rule_expands_sweep():
@@ -146,3 +157,49 @@ def test_load_config_file(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text(GOOD)
     assert load_config(path) == parse_config(GOOD)
+
+
+def test_parse_rejects_a_repeated_key():
+    with pytest.raises(ValueError, match=r"^line 2: duplicate key 'g'$"):
+        parse_config("g = 20\ng = 50\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("n = ten", r"^line 1: n: invalid literal for int\(\)"),
+    ("mu = 0.1, x", r"^line 1: mu: could not convert string to float"),
+    ("assortative = true, maybe", r"^line 1: assortative: expected a boolean"),
+])
+def test_parse_error_names_the_line_and_key(line, message):
+    with pytest.raises(ValueError, match=message):
+        parse_config(line + "\n")
+
+
+def _config_value(value) -> str:
+    if isinstance(value, tuple):
+        return ", ".join(_config_value(v) for v in value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def test_every_field_parses_from_a_config_line():
+    """A config that sets every field to a value other than its default
+    parses back to itself, so no field lacks a parser."""
+    lfr = ExperimentConfig(
+        network="lfr", n=300, k_avg=6.5, k_max=20, tau1=2.5, tau2=1.5,
+        c_min=8, c_max=30, mu=(0.1, 0.25), distribution="uniform",
+        g=(20, 40), assortative=(False, True), assort_attempts_per_vertex=7,
+        method=("hpm", "rpm"), n_r_frac=0.1, f=(3, 4), c=(2,),
+        n_t_rule="fraction-of-n", n_t_frac=(0.05, 0.1), repetitions=2,
+        ensemble=3, epidemic=True, budgets=(0.0, 0.01),
+        strategies=("random-whole", "reconstructed-top:k_out"), sir_runs=9,
+        sir_init_frac=0.01, sir_beta=0.2, sir_steps=3, seed=5, out="elsewhere")
+    loaded = replace(lfr, network="edgelist", edgelist_path="net.edges", mu=())
+    set_fields = set()
+    for cfg in (lfr, loaded):
+        lines = [f"{f.name} = {_config_value(getattr(cfg, f.name))}"
+                 for f in fields(cfg) if getattr(cfg, f.name) not in (None, ())]
+        assert parse_config("\n".join(lines)) == cfg
+        set_fields |= {f.name for f in fields(cfg)
+                       if getattr(cfg, f.name) != f.default}
+    assert set_fields == {f.name for f in fields(ExperimentConfig)}

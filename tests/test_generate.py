@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2_contingency
 
 from netrecon import LfrParams, generate_lfr_like, realized_mixing
-from netrecon.generate import _assign_communities, _randomize_edges
+from netrecon.generate import SWAP_ROUNDS, _assign_communities, _randomize_edges
 from oracles import assign_communities_reference, randomize_edges_reference
 
 PARAMS = LfrParams(n=400, k_avg=8, k_max=25, mu=0.2, tau1=2.5, tau2=1.0,
@@ -156,13 +156,13 @@ def test_randomize_edges_survivor_law_matches_oracle():
 
 @pytest.mark.parametrize("name", sorted(EDGE_LISTS))
 def test_randomize_edges_draws_three_bulk_arrays(name):
-    """One call takes two index arrays and one coin array of rounds*n_e
-    values each, and nothing else, from the generator."""
+    """One call takes two index arrays and one coin array of
+    SWAP_ROUNDS*n_e values each, and nothing else, from the generator."""
     edges = EDGE_LISTS[name]
     for seed in range(3):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        _randomize_edges(edges, rng, rounds=10)
-        attempts = 10 * len(edges)
+        _randomize_edges(edges, rng)
+        attempts = SWAP_ROUNDS * len(edges)
         ref_rng.integers(len(edges), size=attempts)
         ref_rng.integers(len(edges), size=attempts)
         ref_rng.random(attempts)

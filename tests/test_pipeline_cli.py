@@ -109,6 +109,19 @@ def test_pipeline_epidemic_stage(tmp_path):
                for r in table[1:])
 
 
+def test_zero_budget_immunizes_nobody(tmp_path, monkeypatch):
+    """A zero budget immunizes no vertex; a positive one at least one."""
+    specs = []
+    monkeypatch.setattr(pipeline, "evaluate_strategy",
+                        counting(specs, pipeline.evaluate_strategy))
+    text = EPI.replace("budgets = 0.05", "budgets = 0.0, 0.001")
+    _, written = run_tiny(tmp_path, text, "zero", stage="epidemic")
+    assert [args[1].budget for args, _ in specs] == [0, 1, 0, 1]
+    table = read_table(written["epidemic"])
+    budget = EPIDEMIC_HEADER.index("budget")
+    assert [r[budget] for r in table[1::2]] == ["0.0", "0.001"] * 2
+
+
 def test_pipeline_rejects_unknown_stage(tmp_path):
     cfg = parse_config(TINY + f"\nout = {tmp_path / 'x'}\n")
     with pytest.raises(ValueError, match="stage"):
@@ -282,7 +295,9 @@ HPM = TINY.replace("method = rpm", "method = hpm")
 ], ids=["rpm", "hpm-fraction-of-n", "hpm-assortative"])
 def test_cli_stage_chain_matches_run(tmp_path, text):
     """generate -> sample -> reconstruct -> communities -> metrics yields
-    exactly the repetition-0 metric rows of the packaged sweep."""
+    exactly the repetition-0 metric rows of the packaged sweep.  The
+    later stages rebuild the reconstruction without recon.edges, which
+    is written for inspection only."""
     path = write_cfg(tmp_path, text)
     run_dir = tmp_path / "full"
     stage_dir = tmp_path / "stages"
@@ -290,6 +305,8 @@ def test_cli_stage_chain_matches_run(tmp_path, text):
     for step in ("generate", "sample", "reconstruct", "communities",
                  "metrics"):
         assert main([step, "--config", path, "--out", str(stage_dir)]) == 0
+        if step == "reconstruct":
+            (stage_dir / "recon.edges").unlink()
     rep_col = METRIC_HEADER.index("rep")
     for name in ("precision", "community", "rank"):
         full = read_table(run_dir / f"{name}.csv")
@@ -298,7 +315,7 @@ def test_cli_stage_chain_matches_run(tmp_path, text):
         assert staged[1:] == [r for r in full[1:] if r[rep_col] == "0"], name
     # intermediate artifacts exist
     for artifact in ("network.edges", "attributes.txt", "forest.txt",
-                     "truth.txt", "recon.edges", "provenance.txt",
+                     "truth.txt", "provenance.txt",
                      "merges.csv", "communities_network.txt",
                      "communities_recon.txt"):
         assert (stage_dir / artifact).exists(), artifact

@@ -26,7 +26,8 @@ from netrecon import (
 )
 from netrecon.sampling import SampleForest
 
-from oracles import coalescing_reference, groups_of, replay_merges
+from oracles import (coalescing_reference, group_graph_reference, groups_of,
+                     replay_merges)
 
 UNIFORM50 = uniform_distribution(50)
 
@@ -265,6 +266,55 @@ def test_reconstruct_stalls_when_target_unreachable(sampled):
     # whatever was coalesced is still perfectly clean
     if partial.log:
         assert coalescing_precision(partial.log, forest.truth) == 1.0
+
+
+def assert_graph_is_the_group_graph(forest, res):
+    """res.graph, mapped through the provenance, is the group graph of
+    the forest's tree edges under the replayed merge log."""
+    groups = replay_merges(forest.size, res.log)
+    assert groups == groups_of(res.provenance)
+    group_of_vertex = {int(res.provenance[min(grp)]): grp for grp in groups}
+    assert sorted(group_of_vertex) == list(range(res.graph.n))
+    edges = group_graph_reference(groups, forest.parent.tolist())
+    assert all(len(e) == 2 for e in edges), "a tree edge inside one group"
+    assert {frozenset((group_of_vertex[int(u)], group_of_vertex[int(v)]))
+            for u, v in res.graph.edges()} == edges
+
+
+@pytest.mark.parametrize("g, c, f", [(4, 1, 3), (12, 2, 5), (60, 1, 4)])
+def test_graph_is_the_group_graph_of_the_tree_edges(sampled, g, c, f):
+    """Over many seeds, complete and stalled runs alike."""
+    dist = uniform_distribution(g)
+    outcomes = Counter()
+    for seed in range(20):
+        attrs = assign_attributes(sampled.n, dist, seed=seed)
+        paths = sample_paths(sampled, 15, "rpm", seed=100 + seed)
+        forest = elicit_friends(sampled, attrs, paths, f, c, seed=200 + seed)
+        target = forest.n_t if seed % 2 else forest.n_r
+        try:
+            res = reconstruct(forest.without_truth(), dist, target,
+                              seed=300 + seed)
+            outcomes["complete"] += 1
+        except ReconstructionStalled as exc:
+            res = exc.partial
+            outcomes["stalled"] += 1
+        assert_graph_is_the_group_graph(forest, res)
+    assert outcomes["complete"] and outcomes["stalled"], outcomes
+
+
+def test_graph_keeps_an_isolated_vertex():
+    """Respondent 2 names nobody and matches no description, so its
+    vertex stays isolated; respondent 3 absorbs friend 1, the only
+    allowed merge."""
+    forest = SampleForest(tree=[0, 0, 1, 2], parent=[-1, 0, -1, -1],
+                          kind=[RESPONDENT, FRIEND, RESPONDENT, RESPONDENT],
+                          lo=[2, 1, 9, 2], hi=[2, 3, 9, 2], g=10)
+    res = reconstruct(forest, uniform_distribution(10), 3, seed=0)
+    assert groups_of(res.provenance) == {frozenset({0}), frozenset({1, 3}),
+                                         frozenset({2})}
+    assert (res.graph.n, res.graph.m) == (3, 1)
+    assert res.graph.degrees[res.provenance[2]] == 0
+    assert_graph_is_the_group_graph(forest, res)
 
 
 def law_forest():
