@@ -131,6 +131,99 @@ def edge_discrepancy(g: Graph, attrs: AttributeMap) -> int:
 
 # (x, y) proposal rows drawn per rng call in make_assortative
 _PROPOSAL_CHUNK = 4096
+# make_assortative judges its proposals in windows.  Each window is sized
+# so that, at the acceptance rate of the window before, it holds about
+# _WINDOW_ACCEPTS accepted swaps, and never fewer than _MIN_WINDOW rows.
+# Every accepted swap makes the bulk deltas of the proposals near it
+# stale, so more accepts per window means more patching in Python;
+# fewer means more numpy passes.
+_WINDOW_ACCEPTS = 16
+_MIN_WINDOW = 128
+
+
+def _swap_deltas(x, y, a, indptr, indices, degree):
+    """Change of the edge discrepancy if the categories of ``x[i]`` and
+    ``y[i]`` were swapped, for every proposal ``i``, all against the
+    categories ``a``; also returns ``a[y] - a[x]``.
+
+    Uses |c - b| = c + b - 2 min(c, b): over the neighbors w of x,
+    sum |cy - a_w| - |cx - a_w| = deg(x) (cy - cx)
+    + 2 sum (min(cx, a_w) - min(cy, a_w)), and likewise for y.
+    """
+    rows = x.size
+    cx, cy = a[x], a[y]
+    v = np.concatenate((x, y))
+    length = degree[v]
+    ends = np.cumsum(length)
+    starts = ends - length
+    nbr = indices[np.arange(ends[-1]) + np.repeat(indptr[v] - starts, length)]
+    an = a[nbr]
+    t = np.minimum(np.repeat(np.concatenate((cx, cy)), length), an)
+    t -= np.minimum(np.repeat(np.concatenate((cy, cx)), length), an)
+    csum = np.zeros(t.size + 1, dtype=np.int64)
+    np.cumsum(t, out=csum[1:])
+    m = csum[ends] - csum[starts]
+    d = cy - cx
+    delta = (length[:rows] - length[rows:]) * d + 2 * (m[:rows] + m[rows:])
+    # an x-y edge keeps |cx - cy| through the swap, but entered each sum
+    # as -|cx - cy|; add it back
+    hit = np.flatnonzero(nbr[:ends[rows - 1]] == np.repeat(y, length[:rows]))
+    edge = np.searchsorted(ends[:rows], hit, side="right")
+    delta[edge] += 2 * np.abs(d[edge])
+    return delta, d
+
+
+def _judge_window(xs, ys, take, delta, a, values, neighbors) -> int:
+    """Walk one window's proposals in order and apply the accepted swaps
+    to ``a`` and ``values``; returns how many were accepted.
+
+    ``take`` and ``delta`` are the bulk decisions and deltas against the
+    categories at the window's start.  A proposal away from every vertex
+    swapped so far uses them; one next to a swapped vertex has its delta
+    patched with the terms of its swapped neighbors, and one whose x or
+    y was swapped itself is summed over all its neighbors.
+    """
+    old = {}  # the category at the window's start of each swapped vertex
+    near = {}  # vertex -> the swapped vertices among its neighbors
+    accepted = 0
+    for x, y, bulk_take, dl in zip(xs, ys, take, delta):
+        if x in near or y in near:
+            cx, cy = a[x], a[y]
+            if cx == cy:  # also covers x == y
+                continue
+            if x in old or y in old:
+                # the x-y edge (if present) contributes |cx-cy| before
+                # and after, so it is excluded from both neighbor sums
+                dl = 0
+                for w in neighbors[x]:
+                    if w != y:
+                        aw = a[w]
+                        dl += abs(cy - aw) - abs(cx - aw)
+                for w in neighbors[y]:
+                    if w != x:
+                        aw = a[w]
+                        dl += abs(cx - aw) - abs(cy - aw)
+            else:
+                for w in near.get(x, ()):
+                    aw, a0 = a[w], old[w]
+                    dl += abs(cy - aw) - abs(cx - aw) - abs(cy - a0) + abs(cx - a0)
+                for w in near.get(y, ()):
+                    aw, a0 = a[w], old[w]
+                    dl += abs(cx - aw) - abs(cy - aw) - abs(cx - a0) + abs(cy - a0)
+            if dl > 0:
+                continue
+        elif not bulk_take:
+            continue
+        for p in (x, y):
+            if p not in old:
+                old[p] = a[p]
+                near.setdefault(p, [])
+                for w in neighbors[p]:
+                    near.setdefault(w, []).append(p)
+        a[x], a[y] = a[y], a[x]
+        values[x], values[y] = a[x], a[y]
+        accepted += 1
+    return accepted
 
 
 def make_assortative(g: Graph, attrs: AttributeMap, attempts: int,
@@ -146,6 +239,16 @@ def make_assortative(g: Graph, attrs: AttributeMap, attempts: int,
     2))``.  They are drawn in chunks of ``_PROPOSAL_CHUNK`` rows, which
     consume the same random stream as that single draw, so the result
     does not depend on the chunk size while memory stays bounded.
+
+    Most proposals are rejected, so their deltas are computed in bulk:
+    one numpy pass gives every proposal of a window its delta against
+    the categories at the window's start.  The window is then walked in
+    order.  A swap accepted in the window changes the delta of a later
+    proposal only if that proposal's x or y lies in the closed
+    neighborhood of a swapped vertex; such a proposal is judged from the
+    current categories (see :func:`_judge_window`).  All arithmetic is
+    on integers, so every decision is the one a proposal-by-proposal
+    loop would take.
     """
     if attempts < 0:
         raise ValueError("attempts must be nonnegative")
@@ -153,26 +256,28 @@ def make_assortative(g: Graph, attrs: AttributeMap, attempts: int,
     n = g.n
     if n < 2:
         return attrs
-    a = attrs.values.tolist()
+    values = attrs.values.copy()
+    a = values.tolist()
+    degree = np.diff(g.indptr)
     indptr, indices = g.indptr.tolist(), g.indices.tolist()
     neighbors = [indices[indptr[v]:indptr[v + 1]] for v in range(n)]
+    size = _MIN_WINDOW
     for start in range(0, attempts, _PROPOSAL_CHUNK):
         rows = min(_PROPOSAL_CHUNK, attempts - start)
-        for x, y in rng.integers(0, n, size=(rows, 2)).tolist():
-            cx, cy = a[x], a[y]
-            if cx == cy:  # also covers x == y
-                continue
-            # the x-y edge (if present) contributes |cx-cy| before and
-            # after, so it is excluded from both neighbor sums
-            delta = 0
-            for w in neighbors[x]:
-                if w != y:
-                    aw = a[w]
-                    delta += abs(cy - aw) - abs(cx - aw)
-            for w in neighbors[y]:
-                if w != x:
-                    aw = a[w]
-                    delta += abs(cx - aw) - abs(cy - aw)
-            if delta <= 0:
-                a[x], a[y] = cy, cx
-    return AttributeMap(np.asarray(a, dtype=np.int64), attrs.g)
+        proposals = rng.integers(0, n, size=(rows, 2))
+        lo = 0
+        while lo < rows:
+            xs, ys = proposals[lo:lo + size].T
+            lo += xs.size
+            delta, d = _swap_deltas(xs, ys, values, g.indptr, g.indices, degree)
+            take = (d != 0) & (delta <= 0)
+            first = int(take.argmax())  # nothing goes stale before it
+            accepted = 0
+            if take[first]:
+                accepted = _judge_window(
+                    xs[first:].tolist(), ys[first:].tolist(),
+                    take[first:].tolist(), delta[first:].tolist(),
+                    a, values, neighbors)
+            size = min(_PROPOSAL_CHUNK, max(
+                _MIN_WINDOW, _WINDOW_ACCEPTS * xs.size // max(accepted, 1)))
+    return AttributeMap(values, attrs.g)

@@ -134,13 +134,21 @@ class ExperimentConfig:
             parse_strategy(s)
         SirParams(self.sir_init_frac, self.sir_beta, self.sir_steps)
 
+    def mu_axis(self) -> tuple:
+        """The sweep's mu values: mu applies only to an lfr network."""
+        return self.mu if self.network == "lfr" else (None,)
+
+    def n_t_frac_axis(self) -> tuple:
+        """The sweep's n_t_frac values: they apply only under the
+        fraction-of-n rule."""
+        return self.n_t_frac if self.n_t_rule == "fraction-of-n" else (None,)
+
     def points(self) -> list[SweepPoint]:
-        mus = self.mu if self.network == "lfr" else (None,)
-        nts = self.n_t_frac if self.n_t_rule == "fraction-of-n" else (None,)
         return [
             SweepPoint(m, a, gv, cv, fv, mv, nt)
             for m, a, gv, cv, fv, mv, nt in product(
-                self.method, self.assortative, self.g, self.c, self.f, mus, nts)
+                self.method, self.assortative, self.g, self.c, self.f,
+                self.mu_axis(), self.n_t_frac_axis())
         ]
 
 

@@ -133,22 +133,36 @@ def _assign_communities(degrees: np.ndarray, sizes: np.ndarray, mu: float,
     the vertex's internal degree target.  If none qualifies, the largest
     community with a free slot is used (its capacity shortfall is later
     absorbed by the external-degree floor).
+
+    The candidate lists are kept in ascending id order as communities
+    fill, so one ``rng.integers`` draw per vertex picks what a scan of
+    all communities would.
     """
     n = degrees.size
     labels = np.empty(n, dtype=np.int64)
-    free = sizes.copy()
-    demand = np.ceil((1.0 - mu) * degrees).astype(np.int64)
-    for v in rng.permutation(n):
-        fits = (free > 0) & (sizes - 1 >= demand[v])
-        if fits.any():
-            choices = np.flatnonzero(fits)
-        else:
-            open_ = np.flatnonzero(free > 0)
-            top = sizes[open_].max()
-            choices = open_[sizes[open_] == top]
-        c = int(choices[rng.integers(choices.size)])
+    size_of = sizes.tolist()
+    free = list(size_of)
+    demand = np.ceil((1.0 - mu) * degrees).astype(np.int64).tolist()
+    # the open communities that can host each demand, and the open
+    # communities of each size
+    hosts = {d: [c for c, s in enumerate(size_of) if s - 1 >= d]
+             for d in set(demand)}
+    by_size: dict[int, list[int]] = {}
+    for c, s in enumerate(size_of):
+        by_size.setdefault(s, []).append(c)
+    for v in rng.permutation(n).tolist():
+        choices = hosts[demand[v]] or by_size[max(by_size)]
+        c = choices[rng.integers(len(choices))]
         labels[v] = c
         free[c] -= 1
+        if free[c] == 0:
+            s = size_of[c]
+            for d, ids in hosts.items():
+                if s - 1 >= d:
+                    ids.remove(c)
+            by_size[s].remove(c)
+            if not by_size[s]:
+                del by_size[s]
     return labels
 
 

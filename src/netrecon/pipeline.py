@@ -280,7 +280,7 @@ def _pinned_point(cfg: ExperimentConfig, method: str,
     """The sweep cell the epidemic block runs at: first value of each axis."""
     return SweepPoint(method=method, assortative=cfg.assortative[0],
                       g=cfg.g[0], c=cfg.c[0], f=cfg.f[0],
-                      mu=cfg.mu[0] if cfg.network == "lfr" else None,
+                      mu=cfg.mu_axis()[0],
                       n_t_frac=n_t_frac)
 
 
@@ -416,8 +416,8 @@ def run_pipeline(cfg: ExperimentConfig, jobs: int = 1,
     if stage in ("all", "epidemic"):
         epi_tasks = []
         if cfg.epidemic:
-            nts = cfg.n_t_frac if cfg.n_t_rule == "fraction-of-n" else (None,)
-            epi_tasks = [(cfg, m, nt) for m in cfg.method for nt in nts]
+            epi_tasks = [(cfg, m, nt) for m in cfg.method
+                         for nt in cfg.n_t_frac_axis()]
         for rows, errs in _map_tasks(_epidemic_task, epi_tasks, jobs):
             rows_epi.extend(rows)
             errors.extend(errs)

@@ -8,7 +8,9 @@ These are O(n^2) or worse and meant only for small instances.
 The random-process references draw from the same NumPy generator as the
 package, in the plainest form of the process.  They come in two kinds.
 Stream oracles (:func:`assign_communities_reference`,
-:func:`make_assortative_reference`, :func:`greedy_modularity_reference`)
+:func:`make_assortative_reference`,
+:func:`make_assortative_scalar_reference`,
+:func:`greedy_modularity_reference`)
 draw the very same random numbers in the same order as the package, so a
 faster rewrite must give the very same result and leave the generator in
 the very same state.  Law oracles (:func:`randomize_edges_reference`,
@@ -305,6 +307,45 @@ def make_assortative_reference(n, edges, values, attempts, seed):
             current = after
         else:
             a[x], a[y] = a[y], a[x]
+    return a
+
+
+def make_assortative_scalar_reference(g, values, attempts, seed):
+    """The shuffle judged one proposal at a time, as a list.
+
+    Same proposals as ``make_assortative``, drawn in the same 4096-row
+    chunks; each delta is summed over the neighbors of x and y from the
+    current categories.  Linear in the degrees, so it runs on
+    paper-scale graphs.
+    """
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    n = g.n
+    a = list(values)
+    if n < 2:
+        return a
+    indptr, indices = g.indptr.tolist(), g.indices.tolist()
+    neighbors = [indices[indptr[v]:indptr[v + 1]] for v in range(n)]
+    for start in range(0, attempts, 4096):
+        rows = min(4096, attempts - start)
+        for x, y in rng.integers(0, n, size=(rows, 2)).tolist():
+            cx, cy = a[x], a[y]
+            if cx == cy:  # also covers x == y
+                continue
+            # the x-y edge (if present) contributes |cx-cy| before and
+            # after, so it is excluded from both neighbor sums
+            delta = 0
+            for w in neighbors[x]:
+                if w != y:
+                    aw = a[w]
+                    delta += abs(cy - aw) - abs(cx - aw)
+            for w in neighbors[y]:
+                if w != x:
+                    aw = a[w]
+                    delta += abs(cx - aw) - abs(cy - aw)
+            if delta <= 0:
+                a[x], a[y] = cy, cx
     return a
 
 

@@ -4,19 +4,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netrecon import (
     AttributeMap,
     CategoryDistribution,
     Graph,
+    LfrParams,
     assign_attributes,
     assign_distinct,
     discretized_normal,
     edge_discrepancy,
+    generate_lfr_like,
     make_assortative,
     uniform_distribution,
 )
-from oracles import make_assortative_reference
+from oracles import make_assortative_reference, make_assortative_scalar_reference
 
 
 def test_distribution_validation():
@@ -169,14 +172,23 @@ ASSORT_GRAPHS = {
     "dense": (14, _random_graph(14, 0.5, 5)),
     # few proposals are edges; some vertices are isolated
     "sparse": (40, _random_graph(40, 0.06, 6)),
+    # the hub is in 5 of 9 proposals
+    "star3": (3, [(0, 1), (0, 2)]),
+    # every proposal is next to the hub, so one hub swap makes every
+    # later bulk delta of the window stale
+    "star": (30, [(0, i) for i in range(1, 30)]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ASSORT_GRAPHS))
-@pytest.mark.parametrize("attempts", [0, 1, 4095, 4096, 4097, 3 * 4096 + 5])
+@pytest.mark.parametrize("attempts", [0, 1, 100, 128, 129, 300, 4095, 4096,
+                                      4097, 3 * 4096 + 5])
 def test_make_assortative_matches_whole_graph_oracle(name, attempts):
     """Every swap decision equals the one taken from a full recount of
-    the discrepancy, over the same proposals, across chunk boundaries."""
+    the discrepancy, over the same proposals, across the 4096-row draws
+    and the bulk windows (the first has 128 rows; 100 and 300 end inside
+    one).  The scalar reference, which the paper-scale test below relies
+    on, takes the same decisions."""
     n, edges = ASSORT_GRAPHS[name]
     g = Graph.from_edges(n, edges)
     for g_cat in (4, n):
@@ -185,6 +197,44 @@ def test_make_assortative_matches_whole_graph_oracle(name, attempts):
         expected = make_assortative_reference(
             n, edges, attrs.values.tolist(), attempts, seed=attempts)
         assert out.values.tolist() == expected
+        assert make_assortative_scalar_reference(
+            g, attrs.values.tolist(), attempts, seed=attempts) == expected
+
+
+# the two benchmark shapes of the acceptance tests: hubs up to degree 100,
+# and a narrow degree band; g as in the sweep and in test_06
+PAPER_SHAPES = {
+    "heavy": (dict(n=1460, k_avg=10, k_max=100, mu=0.2, tau1=2.5, tau2=1,
+                   c_min=10, c_max=50), 50),
+    "dense": (dict(n=1460, k_avg=20, k_max=30, mu=0.3, tau1=3, tau2=1,
+                   c_min=10, c_max=20), 365),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("shape", sorted(PAPER_SHAPES))
+def test_make_assortative_matches_scalar_loop_on_paper_networks(shape, seed):
+    """100 n attempts on a paper-scale network take the decisions of
+    the proposal-by-proposal loop: early windows accept many swaps and
+    patch many stale deltas, late ones accept few."""
+    params, g_cat = PAPER_SHAPES[shape]
+    net = generate_lfr_like(LfrParams(seed=seed, **params))[0]
+    attrs = assign_attributes(net.n, discretized_normal(g_cat), seed=seed + 2)
+    out = make_assortative(net, attrs, 100 * net.n, seed=seed + 4)
+    assert out.values.tolist() == make_assortative_scalar_reference(
+        net, attrs.values.tolist(), 100 * net.n, seed=seed + 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 12), p=st.floats(0.0, 1.0), g_cat=st.integers(1, 12),
+       attempts=st.integers(0, 700), seed=st.integers(0, 2**32 - 1))
+def test_make_assortative_matches_whole_graph_oracle_on_small_graphs(
+        n, p, g_cat, attempts, seed):
+    edges = _random_graph(n, p, seed)
+    attrs = assign_attributes(n, uniform_distribution(g_cat), seed=seed)
+    out = make_assortative(Graph.from_edges(n, edges), attrs, attempts, seed)
+    assert out.values.tolist() == make_assortative_reference(
+        n, edges, attrs.values.tolist(), attempts, seed)
 
 
 def test_make_assortative_on_tiny_graph():

@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 import pytest
 
 from netrecon.config import ExperimentConfig, load_config, parse_config, parse_strategy
+from netrecon.pipeline import _pinned_point
 
 GOOD = """
 # synthetic benchmark
@@ -130,6 +131,21 @@ def test_fraction_rule_expands_sweep():
     cfg = parse_config(GOOD + "\nn_t_rule = fraction-of-n\nn_t_frac = 0.05, 0.08\n")
     assert len(cfg.points()) == 2 * 2 * 2 * 2
     assert {p.n_t_frac for p in cfg.points()} == {0.05, 0.08}
+
+
+def test_sweep_axes_apply_only_where_they_mean_something():
+    """mu is an axis of an lfr network only, n_t_frac of the fraction-of-n
+    rule only; the sweep points and the epidemic block's pinned point
+    read the same axes."""
+    cfg = parse_config(GOOD + "\nn_t_frac = 0.05\n")  # true-network-size
+    assert cfg.mu_axis() == (0.1, 0.3) and cfg.n_t_frac_axis() == (None,)
+    assert {(p.mu, p.n_t_frac) for p in cfg.points()} == {(0.1, None), (0.3, None)}
+    loaded = replace(cfg, network="edgelist", edgelist_path="net.edges", mu=(),
+                     n_t_rule="fraction-of-n")
+    assert loaded.mu_axis() == (None,) and loaded.n_t_frac_axis() == (0.05,)
+    assert {(p.mu, p.n_t_frac) for p in loaded.points()} == {(None, 0.05)}
+    pinned = _pinned_point(loaded, "rpm", 0.05)
+    assert pinned in loaded.points()
 
 
 def test_parse_strategy_tokens():
