@@ -23,7 +23,7 @@ from .epidemic import (
     SirParams,
     StrategySpec,
     evaluate_strategy,
-    select_immunized,
+    immunization_order,
     sir_run,
 )
 from .generate import LfrParams, generate_lfr_like, realized_mixing

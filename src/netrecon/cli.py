@@ -135,14 +135,23 @@ def _write_merges(log: list[MergeEvent], path) -> None:
                         " ".join(map(str, ev.members_b)), repr(ev.probability)])
 
 
-def _read_merges(path) -> list[MergeEvent]:
+def _read_merges(path, n_occ: int) -> list[MergeEvent]:
+    """merges.csv of a forest of ``n_occ`` occurrences; a malformed row
+    is an error naming its line."""
+    log = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         next(reader, None)  # header
-        return [MergeEvent(tuple(int(t) for t in row[1].split()),
-                           tuple(int(t) for t in row[2].split()),
-                           float(row[3]))
-                for row in reader]
+        for row in reader:
+            try:
+                _, a, b, prob = row
+                a, b = (tuple(int(t) for t in cell.split()) for cell in (a, b))
+                if not all(0 <= m < n_occ for m in a + b):
+                    raise ValueError(f"member ids must lie in [0, {n_occ})")
+                log.append(MergeEvent(a, b, float(prob)))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    return log
 
 
 def cmd_reconstruct(cfg: ExperimentConfig, args) -> int:
@@ -166,7 +175,7 @@ def _load_recon(cfg: ExperimentConfig, forest: SampleForest) -> ReconResult:
     """
     provenance = read_partition(os.path.join(cfg.out, "provenance.txt"),
                                 n=forest.size)
-    log = _read_merges(os.path.join(cfg.out, "merges.csv"))
+    log = _read_merges(os.path.join(cfg.out, "merges.csv"), forest.size)
     return ReconResult(coalesced_network(forest, provenance), provenance, log,
                        attempts=0)
 

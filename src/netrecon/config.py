@@ -84,9 +84,9 @@ class ExperimentConfig:
     budgets: tuple[float, ...] = (0.05,)
     strategies: tuple[str, ...] = DEFAULT_STRATEGIES
     sir_runs: int = 200
-    sir_init_frac: float = 0.002
-    sir_beta: float = 0.08
-    sir_steps: int = 4
+    sir_init_frac: float = SirParams.init_frac
+    sir_beta: float = SirParams.beta
+    sir_steps: int = SirParams.infectious_steps
 
     seed: int = 0
     out: str = "results"
@@ -132,7 +132,11 @@ class ExperimentConfig:
                 raise ValueError("budgets are fractions of n below 1")
         for s in self.strategies:
             parse_strategy(s)
-        SirParams(self.sir_init_frac, self.sir_beta, self.sir_steps)
+        self.sir_params()
+
+    def sir_params(self) -> SirParams:
+        """The epidemic model of the sir_* keys; raises on bad values."""
+        return SirParams(self.sir_init_frac, self.sir_beta, self.sir_steps)
 
     def mu_axis(self) -> tuple:
         """The sweep's mu values: mu applies only to an lfr network."""
@@ -152,11 +156,10 @@ class ExperimentConfig:
         ]
 
 
-def parse_strategy(token: str):
+def parse_strategy(token: str) -> StrategySpec:
     """Parse a ``kind`` or ``kind:property`` strategy token."""
     kind, _, prop = token.partition(":")
-    spec = StrategySpec(kind.strip(), budget=0, property=prop.strip() or "degree")
-    return spec.kind, spec.property
+    return StrategySpec(kind.strip(), prop.strip() or "degree")
 
 
 _BOOL_TOKENS = {"true": True, "yes": True, "1": True,

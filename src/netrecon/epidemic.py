@@ -17,11 +17,12 @@ immunized vertex: the SIR <-> bond percolation mapping, exact for a
 fixed infectious period (Kenah & Robins, PRE 76, 036113, 2007; Newman,
 PRE 66, 016128, 2002).
 
-Immunization strategies pick a budget of vertices to remove from the
-susceptible pool before seeding — either from the underlying network
-(the unrealistic full-knowledge baseline), at random, or from an
-ensemble of reconstructions whose vertices are projected back onto
-underlying ids.
+Immunization strategies rank the vertices once — from the underlying
+network (the unrealistic full-knowledge baseline), at random, or from
+an ensemble of reconstructions whose vertices are projected back onto
+underlying ids — and a budget of k removes the first k of that ranking
+from the susceptible pool before seeding, so a larger budget immunizes
+a superset.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ __all__ = [
     "StrategySpec",
     "EpidemicOutcome",
     "sir_run",
-    "select_immunized",
+    "immunization_order",
     "evaluate_strategy",
 ]
 
@@ -79,10 +80,9 @@ class SirParams:
 @dataclass(frozen=True)
 class StrategySpec:
     """kind: one of STRATEGY_KINDS; property: ranking property for the
-    top-k kinds; budget: how many vertices to immunize."""
+    top-k kinds."""
 
     kind: str
-    budget: int
     property: str = "degree"
 
     def __post_init__(self):
@@ -90,8 +90,6 @@ class StrategySpec:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if self.property not in PROPERTIES:
             raise ValueError(f"unknown ranking property {self.property!r}")
-        if self.budget < 0:
-            raise ValueError("budget must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -151,53 +149,45 @@ def sir_run(g: Graph, immunized: np.ndarray, params: SirParams, seed: int) -> in
     return total
 
 
-def _ranking_values(graph: Graph, prop: str, seed: int) -> np.ndarray:
-    """Property values used for top-k ranking on one graph."""
+def _rank_keys(graph: Graph, prop: str, seed: int) -> np.ndarray:
+    """Sort keys of one graph's vertices for top-k ranking: the property
+    value, negated unless low values rank first ("embeddedness-low")."""
     if prop == "degree":
-        return graph.degrees.astype(float)
+        return -graph.degrees.astype(float)
     part = detect(graph, seed=derive_seed(seed, "detect"))
     deg, k_out, emb = vertex_properties(graph, part)
-    return k_out.astype(float) if prop == "k_out" else emb
+    return -k_out.astype(float) if prop == "k_out" else emb
 
 
-def select_immunized(g: Graph, strategy: StrategySpec, seed: int,
-                     ensemble: list[Graph] | None = None,
-                     projections: list[np.ndarray] | None = None) -> np.ndarray:
-    """Choose the vertices (underlying ids) a strategy immunizes.
+def immunization_order(g: Graph, strategy: StrategySpec, seed: int,
+                       ensemble: list[Graph] | None = None,
+                       projections: list[np.ndarray] | None = None) -> np.ndarray:
+    """The vertices (underlying ids) a strategy immunizes, first to last;
+    a budget of k immunizes the first k.
 
-    For the reconstructed-* kinds, ``ensemble`` holds reconstruction
-    graphs and ``projections`` the matching reconstructed-vertex ->
-    underlying-id maps.  A vertex's score is averaged over all
-    reconstructed vertices projecting to it; its frequency is the number
-    of ensemble instances it appears in.  Ordering is by score (low
-    embeddedness ranks first for "embeddedness-low"), then frequency,
-    then vertex id; the frequency strategy orders by frequency with
-    random tie-breaking.  Raises when the budget exceeds the candidate
-    pool.
+    "random-whole" orders all vertices uniformly at random and
+    "underlying-top" ranks them by property, ties by id.  For the
+    reconstructed-* kinds, ``ensemble`` holds reconstruction graphs and
+    ``projections`` the matching reconstructed-vertex -> underlying-id
+    maps, and only vertices seen in the ensemble are ordered.  A
+    vertex's frequency is the number of ensemble instances it appears
+    in.  "reconstructed-top" ranks by the property averaged over all
+    reconstructed vertices projecting to a vertex, then frequency, then
+    id; "reconstructed-frequency-random" by frequency alone, in random
+    order among equal frequencies.
     """
-    if strategy.budget > g.n:
-        raise ValueError("budget exceeds the vertex count")
     rng = np.random.default_rng(derive_seed(seed, "select", strategy.kind,
                                             strategy.property))
-    k = strategy.budget
-    if k == 0:
-        return np.zeros(0, dtype=np.int64)
-
     if strategy.kind == "random-whole":
-        return np.sort(rng.choice(g.n, size=k, replace=False))
-
+        return rng.permutation(g.n)
     if strategy.kind == "underlying-top":
-        vals = _ranking_values(g, strategy.property, seed)
-        asc = strategy.property == "embeddedness-low"
-        key = vals if asc else -vals
-        order = np.lexsort((np.arange(g.n), key))
-        return np.sort(order[:k])
+        return np.lexsort((np.arange(g.n), _rank_keys(g, strategy.property, seed)))
 
     if ensemble is None or projections is None:
         raise ValueError(f"{strategy.kind} needs a reconstruction ensemble")
     if len(ensemble) != len(projections):
         raise ValueError("ensemble and projections must align")
-
+    top = strategy.kind == "reconstructed-top"
     sums = np.zeros(g.n)
     occs = np.zeros(g.n, dtype=np.int64)   # reconstructed vertices mapping here
     freq = np.zeros(g.n, dtype=np.int64)   # instances containing the vertex
@@ -205,38 +195,26 @@ def select_immunized(g: Graph, strategy: StrategySpec, seed: int,
         proj = np.asarray(proj, dtype=np.int64)
         if proj.size != rg.n:
             raise ValueError(f"projection {inst} does not cover the graph")
-        vals = _ranking_values(rg, strategy.property, derive_seed(seed, "inst", inst))
-        np.add.at(sums, proj, vals)
-        np.add.at(occs, proj, 1)
         freq[np.unique(proj)] += 1
+        if top:
+            keys = _rank_keys(rg, strategy.property, derive_seed(seed, "inst", inst))
+            np.add.at(sums, proj, keys)
+            np.add.at(occs, proj, 1)
     pool = np.flatnonzero(freq > 0)
-    if k > pool.size:
-        raise ValueError(
-            f"budget {k} exceeds the {pool.size} vertices seen in the ensemble")
-
-    if strategy.kind == "reconstructed-frequency-random":
+    if not top:
         jitter = rng.permutation(g.n)  # random tie order among equal frequencies
-        order = np.lexsort((jitter[pool], -freq[pool]))
-        return np.sort(pool[order[:k]])
-
-    score = sums[pool] / occs[pool]
-    asc = strategy.property == "embeddedness-low"
-    key = score if asc else -score
-    order = np.lexsort((pool, -freq[pool], key))
-    return np.sort(pool[order[:k]])
+        return pool[np.lexsort((jitter[pool], -freq[pool]))]
+    return pool[np.lexsort((pool, -freq[pool], sums[pool] / occs[pool]))]
 
 
-def evaluate_strategy(g: Graph, strategy: StrategySpec, params: SirParams,
-                      runs: int, seed: int,
-                      ensemble: list[Graph] | None = None,
-                      projections: list[np.ndarray] | None = None) -> EpidemicOutcome:
-    """Mean/std epidemic size over ``runs`` independently seeded epidemics."""
+def evaluate_strategy(g: Graph, immunized: np.ndarray, params: SirParams,
+                      runs: int, seed: int) -> EpidemicOutcome:
+    """Mean/std epidemic size over ``runs`` independently seeded
+    epidemics with the ``immunized`` vertices removed."""
     if runs < 1:
         raise ValueError("need at least one run")
-    chosen = select_immunized(g, strategy, derive_seed(seed, "immunize"),
-                              ensemble=ensemble, projections=projections)
     sizes = np.array([
-        sir_run(g, chosen, params, derive_seed(seed, "sir", i))
+        sir_run(g, immunized, params, derive_seed(seed, "sir", i))
         for i in range(runs)
     ], dtype=float)
     std = float(sizes.std(ddof=1)) if runs > 1 else 0.0

@@ -233,6 +233,8 @@ def read_partition(source, n: int | None = None) -> np.ndarray:
             parts = s.split()
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected 'vertex value'")
+            if int(parts[0]) in pairs:
+                raise ValueError(f"line {lineno}: vertex {parts[0]} is listed twice")
             pairs[int(parts[0])] = int(parts[1])
     if not pairs:
         raise ValueError("partition file is empty")

@@ -37,7 +37,7 @@ from .attributes import (AttributeMap, CategoryDistribution, assign_attributes,
                          discretized_normal, make_assortative, uniform_distribution)
 from .communities import detect
 from .config import ExperimentConfig, SweepPoint, parse_strategy
-from .epidemic import SirParams, StrategySpec, evaluate_strategy
+from .epidemic import evaluate_strategy, immunization_order
 from .generate import LfrParams, generate_lfr_like
 from .graph import Graph, load_edge_list
 from .metrics import (aggregate_by_projection, coalescing_precision,
@@ -286,7 +286,11 @@ def _pinned_point(cfg: ExperimentConfig, method: str,
 
 def epidemic_rows_for_point(cfg: ExperimentConfig, method: str,
                             n_t_frac: float | None, rep: int = 0):
-    """Build a reconstruction ensemble and score every strategy/budget."""
+    """Build a reconstruction ensemble and score every strategy/budget.
+
+    Each strategy ranks the vertices once; a budget immunizes the first
+    ``max(1, round(budget * n))`` of its order (none at budget 0).
+    """
     rows: list[list[str]] = []
     errors: list[list[str]] = []
     point = _pinned_point(cfg, method, n_t_frac)
@@ -307,23 +311,26 @@ def epidemic_rows_for_point(cfg: ExperimentConfig, method: str,
         errors.append(cells + ["epidemic-setup", str(exc)])
         return rows, errors
 
-    sir = SirParams(init_frac=cfg.sir_init_frac, beta=cfg.sir_beta,
-                    infectious_steps=cfg.sir_steps)
+    sir = cfg.sir_params()
     for token in cfg.strategies:
-        kind, prop = parse_strategy(token)
+        spec = parse_strategy(token)
+        key = (cfg.seed, "epidemic", point.key(), spec.kind, spec.property)
+        order = None  # ranked once; a ranking that fails fails every budget
         for budget in cfg.budgets:
             count = max(1, round(budget * graph.n)) if budget > 0 else 0
-            spec = StrategySpec(kind=kind, budget=count, property=prop)
-            seed = derive_seed(cfg.seed, "epidemic", point.key(), kind, prop,
-                               repr(budget), rep)
             try:
-                out = evaluate_strategy(graph, spec, sir, cfg.sir_runs, seed,
-                                        ensemble=ensemble,
-                                        projections=projections)
+                if order is None:
+                    order = immunization_order(graph, spec, derive_seed(*key, rep),
+                                               ensemble, projections)
+                if count > order.size:
+                    raise ValueError(f"budget {count} exceeds the {order.size} "
+                                     "vertices the strategy ranks")
+                out = evaluate_strategy(graph, np.sort(order[:count]), sir, cfg.sir_runs,
+                                        derive_seed(*key, repr(budget), rep))
             except Exception as exc:
                 errors.append(cells + [f"epidemic:{token}", str(exc)])
                 continue
-            base = cells + [kind, prop, _fmt(float(budget))]
+            base = cells + [spec.kind, spec.property, _fmt(float(budget))]
             rows.append(base + ["epidemic_size_mean", _fmt(out.mean),
                                 str(out.runs)])
             rows.append(base + ["epidemic_size_std", _fmt(out.std),

@@ -16,6 +16,9 @@ faster rewrite must give the very same result and leave the generator in
 the very same state.  Law oracles (:func:`randomize_edges_reference`,
 :func:`sir_reference`) run the same random process from other draws, so
 a rewrite is checked against them by statistical tests over many seeds.
+:func:`select_immunized_reference` is the package's former per-budget
+immunization choice, against which its one ranking per strategy is
+checked prefix by prefix.
 """
 
 from __future__ import annotations
@@ -280,6 +283,41 @@ def coalescing_reference(is_respondent, lo, hi, parent, groups, probs, n_t):
     return candidate, prob
 
 
+def final_groupings_reference(is_respondent, lo, hi, parent, probs, n_t):
+    """The exact law of the grouping a whole coalescing run ends in.
+
+    From the singletons, each step merges groups i and j with
+    probability p_ij / sum(p), the p of :func:`coalescing_reference`,
+    until ``n_t`` groups are left or no pair has a positive probability
+    (a stall, which ends the run where it stands).  Recurses over the
+    merge sequences, memoized on the grouping.  Returns a dict from
+    final grouping (as :func:`groups_of` gives it) to probability.
+    """
+    memo = {}
+
+    def law(grouping):
+        if grouping not in memo:
+            groups = sorted(sorted(g) for g in grouping)
+            prob = {}
+            if len(groups) > n_t:
+                _, prob = coalescing_reference(is_respondent, lo, hi, parent,
+                                               groups, probs, n_t)
+            total = sum(prob.values())
+            out = defaultdict(float)
+            if total == 0:
+                out[grouping] = 1.0
+            for (i, j), p in prob.items():
+                if p > 0:
+                    merged = (grouping - {frozenset(groups[i]), frozenset(groups[j])}
+                              | {frozenset(groups[i] + groups[j])})
+                    for final, q in law(merged).items():
+                        out[final] += p / total * q
+            memo[grouping] = dict(out)
+        return memo[grouping]
+
+    return law(frozenset(frozenset({occ}) for occ in range(len(parent))))
+
+
 def _discrepancy(edges, values):
     return sum(abs(values[u] - values[v]) for u, v in edges)
 
@@ -466,6 +504,62 @@ def reachable_reference(n, edges, immunized, seeds):
                 seen.add(v)
                 queue.append(v)
     return len(seen)
+
+
+def select_immunized_reference(g, kind, prop, budget, seed, ensemble=None,
+                               projections=None):
+    """The vertices a strategy immunizes at one budget, ranked afresh for
+    that budget: the package's selection before strategies ranked once.
+
+    Kept as the package wrote it, so for the top-k kinds it calls into
+    the package for community detection and vertex properties; compared
+    only where the ranking needs neither (property "degree").  Ties on
+    score break by frequency, then id.
+    """
+    import numpy as np
+
+    from netrecon import derive_seed, detect, vertex_properties
+
+    def ranking_values(graph, seed):
+        if prop == "degree":
+            return graph.degrees.astype(float)
+        part = detect(graph, seed=derive_seed(seed, "detect"))
+        deg, k_out, emb = vertex_properties(graph, part)
+        return k_out.astype(float) if prop == "k_out" else emb
+
+    if budget > g.n:
+        raise ValueError("budget exceeds the vertex count")
+    rng = np.random.default_rng(derive_seed(seed, "select", kind, prop))
+    if budget == 0:
+        return np.zeros(0, dtype=np.int64)
+    if kind == "random-whole":
+        return np.sort(rng.choice(g.n, size=budget, replace=False))
+    asc = prop == "embeddedness-low"
+    if kind == "underlying-top":
+        vals = ranking_values(g, seed)
+        order = np.lexsort((np.arange(g.n), vals if asc else -vals))
+        return np.sort(order[:budget])
+
+    sums = np.zeros(g.n)
+    occs = np.zeros(g.n, dtype=np.int64)
+    freq = np.zeros(g.n, dtype=np.int64)
+    for inst, (rg, proj) in enumerate(zip(ensemble, projections)):
+        proj = np.asarray(proj, dtype=np.int64)
+        vals = ranking_values(rg, derive_seed(seed, "inst", inst))
+        np.add.at(sums, proj, vals)
+        np.add.at(occs, proj, 1)
+        freq[np.unique(proj)] += 1
+    pool = np.flatnonzero(freq > 0)
+    if budget > pool.size:
+        raise ValueError(f"budget {budget} exceeds the {pool.size} vertices "
+                         "seen in the ensemble")
+    if kind == "reconstructed-frequency-random":
+        jitter = rng.permutation(g.n)
+        order = np.lexsort((jitter[pool], -freq[pool]))
+        return np.sort(pool[order[:budget]])
+    score = sums[pool] / occs[pool]
+    order = np.lexsort((pool, -freq[pool], score if asc else -score))
+    return np.sort(pool[order[:budget]])
 
 
 def local_moves_reference(adj, loops, rng):

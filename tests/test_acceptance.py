@@ -32,6 +32,7 @@ from netrecon import (
     elicit_friends,
     evaluate_strategy,
     generate_lfr_like,
+    immunization_order,
     make_assortative,
     modularity,
     nmi,
@@ -336,11 +337,12 @@ def test_09_immunization_strategy_ordering(heavy_net):
     out = {}
     for kind in ("reconstructed-top", "reconstructed-frequency-random",
                  "random-whole"):
-        spec = StrategySpec(kind=kind, budget=budget, property="degree")
-        out[kind] = evaluate_strategy(net, spec, sir, 200,
-                                      derive_seed(MASTER, "epi", kind),
-                                      ensemble=ensemble,
-                                      projections=projections)
+        seed = derive_seed(MASTER, "epi", kind)
+        order = immunization_order(net, StrategySpec(kind, "degree"),
+                                   derive_seed(seed, "immunize"),
+                                   ensemble=ensemble, projections=projections)
+        out[kind] = evaluate_strategy(net, np.sort(order[:budget]), sir, 200,
+                                      seed)
     top = out["reconstructed-top"]
     freq = out["reconstructed-frequency-random"]
     rnd = out["random-whole"]
@@ -386,11 +388,11 @@ def test_10_sample_size_sensitivity(heavy_net):
                     derive_seed(MASTER, "recon", frac, i))
                 ensemble.append(res.graph)
                 projections.append(project(res.provenance, forest))
-        spec = StrategySpec(kind="reconstructed-top", budget=budget,
-                            property="degree")
-        r = evaluate_strategy(net, spec, sir, 200,
-                              derive_seed(MASTER, "epi", frac),
-                              ensemble=ensemble, projections=projections)
+        seed = derive_seed(MASTER, "epi", frac)
+        order = immunization_order(net, StrategySpec("reconstructed-top", "degree"),
+                                   derive_seed(seed, "immunize"),
+                                   ensemble=ensemble, projections=projections)
+        r = evaluate_strategy(net, np.sort(order[:budget]), sir, 200, seed)
         mean_size[frac] = r.mean
     rel = abs(mean_size[0.05] - mean_size[0.12]) / mean_size[0.12]
     assert rel <= SIZE_REL_TOL, f"sizes {mean_size}, relative drift {rel:.3f}"

@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 import pytest
 
 from netrecon.config import ExperimentConfig, load_config, parse_config, parse_strategy
+from netrecon.epidemic import SirParams, StrategySpec
 from netrecon.pipeline import _pinned_point
 
 GOOD = """
@@ -149,9 +150,10 @@ def test_sweep_axes_apply_only_where_they_mean_something():
 
 
 def test_parse_strategy_tokens():
-    assert parse_strategy("underlying-top") == ("underlying-top", "degree")
-    assert parse_strategy("reconstructed-top:k_out") == ("reconstructed-top", "k_out")
-    assert parse_strategy(" random-whole ") == ("random-whole", "degree")
+    assert parse_strategy("underlying-top") == StrategySpec("underlying-top", "degree")
+    assert parse_strategy("reconstructed-top:k_out") == StrategySpec(
+        "reconstructed-top", "k_out")
+    assert parse_strategy(" random-whole ") == StrategySpec("random-whole", "degree")
     with pytest.raises(ValueError):
         parse_strategy("reconstructed-top:betweenness")
 
@@ -167,6 +169,7 @@ def test_defaults_match_documented_protocol():
     assert cfg.sir_beta == 0.08
     assert cfg.sir_steps == 4
     assert cfg.sir_init_frac == 0.002
+    assert cfg.sir_params() == SirParams()
 
 
 def test_load_config_file(tmp_path):

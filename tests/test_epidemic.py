@@ -1,22 +1,32 @@
-"""SIR epidemics and immunization strategy selection."""
+"""SIR epidemics and immunization orders."""
+
+from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.stats import ks_2samp
+from scipy.stats import chi2, chisquare, ks_2samp
 
 from netrecon import (
     Graph,
     LfrParams,
+    ReconstructionStalled,
     SirParams,
     StrategySpec,
+    assign_attributes,
     derive_seed,
+    elicit_friends,
     evaluate_strategy,
     generate_lfr_like,
-    select_immunized,
+    immunization_order,
+    project,
+    reconstruct,
+    sample_paths,
     sir_run,
+    uniform_distribution,
 )
-from oracles import reachable_reference, sir_reference
+from oracles import reachable_reference, select_immunized_reference, sir_reference
 
 
 def star(n):
@@ -42,13 +52,11 @@ def test_sir_params_validation():
 
 
 def test_strategy_spec_validation():
-    StrategySpec(kind="random-whole", budget=3)
+    StrategySpec(kind="random-whole")
     with pytest.raises(ValueError):
-        StrategySpec(kind="oracle", budget=3)
+        StrategySpec(kind="oracle")
     with pytest.raises(ValueError):
-        StrategySpec(kind="random-whole", budget=-1)
-    with pytest.raises(ValueError):
-        StrategySpec(kind="underlying-top", budget=3, property="pagerank")
+        StrategySpec(kind="underlying-top", property="pagerank")
 
 
 def test_sir_size_bounds_and_determinism(bench):
@@ -108,84 +116,95 @@ def test_sir_monotone_in_beta(bench):
 
 def test_select_random_whole(bench):
     g = bench
-    spec = StrategySpec(kind="random-whole", budget=30)
-    a = select_immunized(g, spec, seed=1)
-    b = select_immunized(g, spec, seed=1)
-    c = select_immunized(g, spec, seed=2)
-    assert a.size == 30 and np.unique(a).size == 30
+    spec = StrategySpec(kind="random-whole")
+    a = immunization_order(g, spec, seed=1)
+    b = immunization_order(g, spec, seed=1)
+    c = immunization_order(g, spec, seed=2)
+    assert sorted(a) == list(range(g.n))
     assert (a == b).all()
     assert (a != c).any()
-    assert select_immunized(g, StrategySpec(kind="random-whole", budget=0),
-                            seed=1).size == 0
-    with pytest.raises(ValueError):
-        select_immunized(g, StrategySpec(kind="random-whole", budget=g.n + 1), seed=1)
+
+
+def test_random_whole_prefix_is_a_uniform_subset():
+    """The first k vertices of the random order form a uniform k-subset:
+    chi-square over the k-subsets, and over how often each vertex is
+    among the first k, from 3000 seeds.  An inclusion count of k random
+    vertices out of n has (n - k) / (n - 1) times the multinomial
+    variance, so that statistic is scaled back by its inverse."""
+    n, k, runs = 8, 3, 3000
+    g = Graph.from_edges(n, [])
+    spec = StrategySpec(kind="random-whole")
+    subsets, included = Counter(), np.zeros(n)
+    for seed in range(runs):
+        first = immunization_order(g, spec, seed)[:k]
+        subsets[tuple(sorted(first.tolist()))] += 1
+        included[first] += 1
+    combos = list(combinations(range(n), k))
+    assert chisquare([subsets[c] for c in combos]).pvalue > 1e-3
+    stat = chisquare(included).statistic * (n - 1) / (n - k)
+    assert chi2.sf(stat, n - 1) > 1e-3
 
 
 def test_select_underlying_top_degree(bench):
     g = bench
-    spec = StrategySpec(kind="underlying-top", budget=20, property="degree")
-    chosen = select_immunized(g, spec, seed=0)
-    worst_chosen = g.degrees[chosen].min()
+    order = immunization_order(g, StrategySpec(kind="underlying-top"), seed=0)
+    chosen = order[:20]
     others = np.setdiff1d(np.arange(g.n), chosen)
-    assert g.degrees[others].max() <= worst_chosen
+    assert g.degrees[others].max() <= g.degrees[chosen].min()
 
 
 def test_select_underlying_top_is_degree_sorted_with_id_ties():
     # degrees: 0 -> 3, 1 -> 2, 2 -> 2, 3 -> 2, 4 -> 1  (1,2,3 tie on degree)
     g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4)])
-    spec = StrategySpec(kind="underlying-top", budget=2, property="degree")
-    assert list(select_immunized(g, spec, seed=0)) == [0, 1]
+    spec = StrategySpec(kind="underlying-top", property="degree")
+    assert immunization_order(g, spec, seed=0).tolist() == [0, 1, 2, 3, 4]
 
 
 def test_select_reconstructed_requires_ensemble(bench):
-    g = bench
-    spec = StrategySpec(kind="reconstructed-top", budget=5)
     with pytest.raises(ValueError):
-        select_immunized(g, spec, seed=0)
+        immunization_order(bench, StrategySpec(kind="reconstructed-top"), seed=0)
 
 
-def test_select_reconstructed_top_averages_over_appearances():
-    """Hand-built ensemble where appearance-averaged degree is computable
-    by hand.  Underlying ids: instance A maps its triangle to {0,1,2};
-    instance B maps a path to {1,2,3}.
+def averaging_ensemble():
+    """Underlying ids: instance A maps its triangle to {0,1,2}; instance
+    B maps a path to {1,2,3}.
 
       person 0: degrees (2,)    -> mean 2.0
       person 1: degrees (2, 1)  -> mean 1.5
       person 2: degrees (2, 2)  -> mean 2.0
       person 3: degrees (1,)    -> mean 1.0
-
-    Scores tie at 2.0 for persons 0 and 2; person 2 appears twice, so
-    frequency breaks the tie in favor of 2.
     """
-    g = star(6)  # underlying graph; only its vertex count matters here
     tri = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     path = Graph.from_edges(3, [(0, 1), (1, 2)])
-    ensemble = [tri, path]
-    projections = [np.array([0, 1, 2]), np.array([1, 2, 3])]
-    spec = StrategySpec(kind="reconstructed-top", budget=1, property="degree")
-    chosen = select_immunized(g, spec, seed=0, ensemble=ensemble,
-                              projections=projections)
-    assert list(chosen) == [2]
-    spec2 = StrategySpec(kind="reconstructed-top", budget=3, property="degree")
-    chosen3 = select_immunized(g, spec2, seed=0, ensemble=ensemble,
+    return star(6), [tri, path], [np.array([0, 1, 2]), np.array([1, 2, 3])]
+
+
+def frequency_ensemble():
+    """Person 5 appears in 3 instances, person 1 in 2, persons 2, 3, 4
+    and 6 in one each; persons 0 and 7 are never seen."""
+    tri = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    return star(8), [tri] * 3, [np.array([5, 1, 2]), np.array([5, 1, 3]),
+                                np.array([5, 4, 6])]
+
+
+def test_select_reconstructed_top_averages_over_appearances():
+    """Scores tie at 2.0 for persons 0 and 2; person 2 appears twice, so
+    frequency breaks the tie in favor of 2.  Person 3's mean 1.0 ranks
+    last."""
+    g, ensemble, projections = averaging_ensemble()
+    spec = StrategySpec(kind="reconstructed-top", property="degree")
+    order = immunization_order(g, spec, seed=0, ensemble=ensemble,
                                projections=projections)
-    assert list(chosen3) == [0, 1, 2]  # person 3's mean 1.0 ranks last
+    assert order.tolist() == [2, 0, 1, 3]
 
 
 def test_select_frequency_ranks_by_appearances():
-    g = star(8)
-    tri = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    ensemble = [tri, tri, tri]
-    projections = [np.array([5, 1, 2]), np.array([5, 1, 3]), np.array([5, 4, 6])]
-    spec = StrategySpec(kind="reconstructed-frequency-random", budget=2)
-    # person 5 appears 3 times, person 1 twice, everyone else once
-    chosen = select_immunized(g, spec, seed=0, ensemble=ensemble,
-                              projections=projections)
-    assert set(chosen) == {5, 1}
-    # budget beyond the seen pool is an error
-    big = StrategySpec(kind="reconstructed-frequency-random", budget=7)
-    with pytest.raises(ValueError):
-        select_immunized(g, big, seed=0, ensemble=ensemble, projections=projections)
+    g, ensemble, projections = frequency_ensemble()
+    spec = StrategySpec(kind="reconstructed-frequency-random")
+    order = immunization_order(g, spec, seed=0, ensemble=ensemble,
+                               projections=projections)
+    assert order[:2].tolist() == [5, 1]
+    assert sorted(order[2:]) == [2, 3, 4, 6]
 
 
 def test_select_frequency_random_ties(bench):
@@ -194,9 +213,9 @@ def test_select_frequency_random_ties(bench):
     g = bench
     tri = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     projections = [np.arange(3), np.arange(3, 6), np.arange(6, 9)]
-    spec = StrategySpec(kind="reconstructed-frequency-random", budget=3)
-    picks = {tuple(select_immunized(g, spec, seed=s, ensemble=[tri] * 3,
-                                    projections=projections))
+    spec = StrategySpec(kind="reconstructed-frequency-random")
+    picks = {tuple(sorted(immunization_order(g, spec, seed=s, ensemble=[tri] * 3,
+                                             projections=projections)[:3]))
              for s in range(30)}
     assert len(picks) > 1
 
@@ -204,42 +223,82 @@ def test_select_frequency_random_ties(bench):
 def test_select_validates_alignment(bench):
     g = bench
     tri = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    spec = StrategySpec(kind="reconstructed-top", budget=2)
+    spec = StrategySpec(kind="reconstructed-top")
     with pytest.raises(ValueError):
-        select_immunized(g, spec, seed=0, ensemble=[tri, tri],
-                         projections=[np.arange(3)])
+        immunization_order(g, spec, seed=0, ensemble=[tri, tri],
+                           projections=[np.arange(3)])
     with pytest.raises(ValueError):
-        select_immunized(g, spec, seed=0, ensemble=[tri],
-                         projections=[np.arange(2)])  # projection too short
+        immunization_order(g, spec, seed=0, ensemble=[tri],
+                           projections=[np.arange(2)])  # projection too short
+
+
+@pytest.fixture(scope="module")
+def heavy_ensemble():
+    """The paper-scale HEAVY network and three reconstructions of it."""
+    g, _ = generate_lfr_like(LfrParams(
+        n=1460, k_avg=10, k_max=100, mu=0.2, tau1=2.5, tau2=1.0, c_min=10,
+        c_max=50, seed=7))
+    dist = uniform_distribution(50)
+    attrs = assign_attributes(g.n, dist, seed=8)
+    ensemble, projections = [], []
+    for i in range(3):
+        paths = sample_paths(g, round(0.08 * g.n), "hpm", seed=10 + i)
+        forest = elicit_friends(g, attrs, paths, 5, 1, seed=20 + i)
+        try:
+            res = reconstruct(forest.without_truth(), dist, forest.n_t,
+                              seed=30 + i)
+        except ReconstructionStalled as stall:
+            res = stall.partial
+        ensemble.append(res.graph)
+        projections.append(project(res.provenance, forest))
+    return g, ensemble, projections
+
+
+@pytest.mark.parametrize("kind", ["underlying-top", "reconstructed-top",
+                                  "reconstructed-frequency-random"])
+@pytest.mark.parametrize("case", ["averaging", "frequency", "heavy"])
+def test_order_prefixes_match_the_per_budget_selection(kind, case, request):
+    """Every prefix of the degree ranking, sorted, is what a selection
+    made afresh for that budget picks.  The frequency kind draws its tie
+    order first from the same generator, so it matches too."""
+    if case == "heavy":
+        g, ensemble, projections = request.getfixturevalue("heavy_ensemble")
+    else:
+        g, ensemble, projections = {"averaging": averaging_ensemble,
+                                    "frequency": frequency_ensemble}[case]()
+    spec = StrategySpec(kind=kind, property="degree")
+    order = immunization_order(g, spec, seed=3, ensemble=ensemble,
+                               projections=projections)
+    for k in range(order.size + 1):
+        assert np.sort(order[:k]).tolist() == select_immunized_reference(
+            g, kind, "degree", k, 3, ensemble, projections).tolist(), k
 
 
 def test_evaluate_strategy_moments(bench):
     g = bench
-    spec = StrategySpec(kind="underlying-top", budget=25, property="degree")
+    order = immunization_order(g, StrategySpec(kind="underlying-top"), seed=5)
+    chosen = np.sort(order[:25])
     params = SirParams(init_frac=0.01, beta=0.1, infectious_steps=3)
-    out = evaluate_strategy(g, spec, params, runs=40, seed=5)
+    out = evaluate_strategy(g, chosen, params, runs=40, seed=5)
     assert out.runs == 40
-    sizes = []
     # the outcome's moments match a recount over the same seeds
-    chosen = select_immunized(g, spec, derive_seed(5, "immunize"))
-    for i in range(40):
-        sizes.append(sir_run(g, chosen, params, derive_seed(5, "sir", i)))
+    sizes = [sir_run(g, chosen, params, derive_seed(5, "sir", i))
+             for i in range(40)]
     assert out.mean == pytest.approx(np.mean(sizes))
     assert out.std == pytest.approx(np.std(sizes, ddof=1))
-    again = evaluate_strategy(g, spec, params, runs=40, seed=5)
+    again = evaluate_strategy(g, chosen, params, runs=40, seed=5)
     assert (again.mean, again.std) == (out.mean, out.std)
     with pytest.raises(ValueError):
-        evaluate_strategy(g, spec, params, runs=0, seed=5)
+        evaluate_strategy(g, chosen, params, runs=0, seed=5)
 
 
 def test_immunizing_hubs_shrinks_epidemics(bench):
     """Degree-targeted immunization beats none, on average."""
     g = bench
     params = SirParams(init_frac=0.01, beta=0.15, infectious_steps=3)
-    top = StrategySpec(kind="underlying-top", budget=25, property="degree")
-    out_top = evaluate_strategy(g, top, params, runs=200, seed=6)
-    none = StrategySpec(kind="underlying-top", budget=0, property="degree")
-    out_none = evaluate_strategy(g, none, params, runs=200, seed=6)
+    order = immunization_order(g, StrategySpec(kind="underlying-top"), seed=6)
+    out_top = evaluate_strategy(g, np.sort(order[:25]), params, runs=200, seed=6)
+    out_none = evaluate_strategy(g, order[:0], params, runs=200, seed=6)
     assert out_top.mean < out_none.mean
 
 

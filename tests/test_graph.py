@@ -118,6 +118,11 @@ def test_partition_round_trip(tmp_path):
     assert (read_partition(path, n=5) == values).all()
 
 
+def test_partition_rejects_a_vertex_listed_twice():
+    with pytest.raises(ValueError, match=r"^line 3: vertex 0 is listed twice$"):
+        read_partition(io.StringIO("0 5\n1 6\n0 7\n"))
+
+
 def test_graph_arrays_are_read_only():
     g = load_edge_list(io.StringIO("10 20\n20 30\n"))
     for arr in (g.indptr, g.indices, g.labels, g.neighbors(1)):

@@ -4,7 +4,7 @@ import csv
 
 import pytest
 
-from netrecon import pipeline
+from netrecon import epidemic, pipeline
 from netrecon.cli import main
 from netrecon.config import parse_config
 from netrecon.generate import LfrParams, generate_lfr_like
@@ -116,10 +116,47 @@ def test_zero_budget_immunizes_nobody(tmp_path, monkeypatch):
                         counting(specs, pipeline.evaluate_strategy))
     text = EPI.replace("budgets = 0.05", "budgets = 0.0, 0.001")
     _, written = run_tiny(tmp_path, text, "zero", stage="epidemic")
-    assert [args[1].budget for args, _ in specs] == [0, 1, 0, 1]
+    assert [args[1].size for args, _ in specs] == [0, 1, 0, 1]
     table = read_table(written["epidemic"])
     budget = EPIDEMIC_HEADER.index("budget")
     assert [r[budget] for r in table[1::2]] == ["0.0", "0.001"] * 2
+
+
+ALL_KINDS = ("underlying-top:embeddedness-low, reconstructed-top:k_out, "
+             "reconstructed-frequency-random, random-whole")
+
+
+def test_larger_budgets_immunize_supersets(tmp_path, monkeypatch):
+    """Each strategy ranks once, so the set a budget immunizes contains
+    the set of every smaller budget."""
+    calls = []
+    monkeypatch.setattr(pipeline, "evaluate_strategy",
+                        counting(calls, pipeline.evaluate_strategy))
+    text = (EPI.replace("budgets = 0.05", "budgets = 0.0, 0.01, 0.05")
+            .replace("underlying-top:degree, random-whole", ALL_KINDS))
+    cfg, written = run_tiny(tmp_path, text, "nested", stage="epidemic")
+    assert read_table(written["errors"]) == [ERROR_HEADER]
+    chosen = [set(args[1].tolist()) for args, _ in calls]
+    assert len(chosen) == len(cfg.strategies) * 3
+    for small, mid, large in zip(chosen[::3], chosen[1::3], chosen[2::3]):
+        assert [len(small), len(mid), len(large)] == [0, 1, 6]
+        assert small <= mid <= large
+
+
+@pytest.mark.parametrize("token, per_member", [
+    ("reconstructed-top:k_out", 1), ("reconstructed-frequency-random", 0)])
+def test_strategy_detects_once_per_member(tmp_path, monkeypatch, token,
+                                          per_member):
+    """With two budgets, a k_out ranking detects communities once per
+    ensemble member, and the frequency ranking never does."""
+    calls = []
+    monkeypatch.setattr(epidemic, "detect", counting(calls, epidemic.detect))
+    text = (EPI.replace("budgets = 0.05", "budgets = 0.01, 0.05")
+            .replace("underlying-top:degree, random-whole", token))
+    cfg, written = run_tiny(tmp_path, text, "count", stage="epidemic")
+    assert len(read_table(written["epidemic"])) == 1 + 2 * 2
+    members = {id(args[0]) for args, _ in calls}
+    assert len(calls) == len(members) == per_member * cfg.ensemble
 
 
 def test_pipeline_rejects_unknown_stage(tmp_path):
@@ -334,6 +371,26 @@ def test_cli_errors(tmp_path, capsys):
         main(["generate", "--config", sweep, "--out", str(tmp_path / "x")])
     with pytest.raises(SystemExit):
         main(["frobnicate", "--config", bad])
+
+
+def test_cli_rejects_a_malformed_merge_log(tmp_path, capsys):
+    """A bad merges.csv row ends the metrics and communities commands
+    with an error naming the line, not a traceback."""
+    path = write_cfg(tmp_path, TINY)
+    out = tmp_path / "stages"
+    for step in ("generate", "sample", "reconstruct"):
+        assert main([step, "--config", path, "--out", str(out)]) == 0
+    merges = out / "merges.csv"
+    header = merges.read_text().splitlines()[0]
+    capsys.readouterr()
+    for row, message in (("0,1 2", "expected 4, got 2"),
+                         ("0,1 x,3,0.5", "invalid literal for int()"),
+                         ("0,1,100000,0.5", "member ids must lie in [0, ")):
+        merges.write_text(f"{header}\n{row}\n")
+        for step in ("metrics", "communities"):
+            assert main([step, "--config", path, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "line 2: " in err and message in err
 
 
 def test_cli_epidemic_subcommand(tmp_path):

@@ -26,8 +26,8 @@ from netrecon import (
 )
 from netrecon.sampling import SampleForest
 
-from oracles import (coalescing_reference, group_graph_reference, groups_of,
-                     replay_merges)
+from oracles import (coalescing_reference, final_groupings_reference,
+                     group_graph_reference, groups_of, replay_merges)
 
 UNIFORM50 = uniform_distribution(50)
 
@@ -371,6 +371,53 @@ def test_first_merge_and_attempts_follow_the_rejection_law():
     pmf = [(1 - q) ** (k - 1) * q for k in range(1, 16)]
     expected = [runs * x for x in pmf + [1 - sum(pmf)]]
     assert chisquare([attempts[k] for k in range(1, 17)], expected).pvalue > 1e-3
+
+
+def hub_forest():
+    """A respondent naming five friends, two of them with the widest
+    interval, and a second respondent on its own path naming two.  The
+    wide friends' rows hold many small weights and the narrow friends'
+    few large ones, so the groups' row sums spread widely.
+
+      occ 0  respondent, category 4   occ 1-5  its friends [2,2], [5,5],
+                                               [1,10], [1,10], [5,5]
+      occ 6  respondent, category 5   occ 7, 8 its friends [6,6], [1,1]
+    """
+    return SampleForest(
+        tree=[0] * 6 + [1] * 3,
+        parent=[-1, 0, 0, 0, 0, 0, -1, 6, 6],
+        kind=[RESPONDENT] + [FRIEND] * 5 + [RESPONDENT, FRIEND, FRIEND],
+        lo=[4, 2, 5, 1, 1, 5, 5, 6, 1],
+        hi=[4, 2, 5, 10, 10, 5, 5, 6, 1],
+        g=10,
+    )
+
+
+@pytest.mark.parametrize("forest, n_t", [(law_forest(), 6), (law_forest(), 5),
+                                         (hub_forest(), 6)],
+                         ids=["law-6", "law-5", "hub-6"])
+def test_final_grouping_follows_the_whole_run_law(forest, n_t):
+    """The grouping a run ends in, stalls included, has the law of
+    merging pairs with probability p / sum p step after step: chi-square
+    over 4000 seeds against the exact law, pooling the groupings
+    expected fewer than 5 times."""
+    law = final_groupings_reference(
+        (forest.kind == RESPONDENT).tolist(), forest.lo.tolist(),
+        forest.hi.tolist(), forest.parent.tolist(), SKEWED10.p.tolist(), n_t)
+    runs = 4000
+    seen = Counter()
+    for seed in range(runs):
+        try:
+            res = reconstruct(forest, SKEWED10, n_t, seed=seed)
+        except ReconstructionStalled as exc:
+            res = exc.partial
+        seen[groups_of(res.provenance)] += 1
+    assert set(seen) <= set(law)
+    rare = [k for k, p in law.items() if runs * p < 5]
+    bins = [[k] for k, p in law.items() if runs * p >= 5] + [rare] * bool(rare)
+    observed = [sum(seen[k] for k in b) for b in bins]
+    expected = [runs * sum(law[k] for k in b) for b in bins]
+    assert chisquare(observed, expected).pvalue > 1e-3
 
 
 def test_matrices_track_every_merge(sampled):
