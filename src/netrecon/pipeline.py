@@ -288,8 +288,9 @@ def epidemic_rows_for_point(cfg: ExperimentConfig, method: str,
                             n_t_frac: float | None, rep: int = 0):
     """Build a reconstruction ensemble and score every strategy/budget.
 
-    Each strategy ranks the vertices once; a budget immunizes the first
-    ``max(1, round(budget * n))`` of its order (none at budget 0).
+    Each strategy ranks the vertices once, at its first positive budget;
+    a budget immunizes the first ``max(1, round(budget * n))`` of its
+    order (none at budget 0, which ranks nothing).
     """
     rows: list[list[str]] = []
     errors: list[list[str]] = []
@@ -315,17 +316,24 @@ def epidemic_rows_for_point(cfg: ExperimentConfig, method: str,
     for token in cfg.strategies:
         spec = parse_strategy(token)
         key = (cfg.seed, "epidemic", point.key(), spec.kind, spec.property)
-        order = None  # ranked once; a ranking that fails fails every budget
+        # ranked at the first positive budget; a ranking that fails fails
+        # every positive budget
+        order = None
         for budget in cfg.budgets:
             count = max(1, round(budget * graph.n)) if budget > 0 else 0
             try:
-                if order is None:
-                    order = immunization_order(graph, spec, derive_seed(*key, rep),
-                                               ensemble, projections)
-                if count > order.size:
-                    raise ValueError(f"budget {count} exceeds the {order.size} "
-                                     "vertices the strategy ranks")
-                out = evaluate_strategy(graph, np.sort(order[:count]), sir, cfg.sir_runs,
+                chosen = np.zeros(0, dtype=np.int64)
+                if count:
+                    if order is None:
+                        order = immunization_order(graph, spec,
+                                                   derive_seed(*key, rep),
+                                                   ensemble, projections)
+                    if count > order.size:
+                        raise ValueError(f"budget {count} exceeds the "
+                                         f"{order.size} vertices the "
+                                         "strategy ranks")
+                    chosen = order[:count]
+                out = evaluate_strategy(graph, chosen, sir, cfg.sir_runs,
                                         derive_seed(*key, repr(budget), rep))
             except Exception as exc:
                 errors.append(cells + [f"epidemic:{token}", str(exc)])

@@ -122,6 +122,35 @@ def test_zero_budget_immunizes_nobody(tmp_path, monkeypatch):
     assert [r[budget] for r in table[1::2]] == ["0.0", "0.001"] * 2
 
 
+def test_zero_budget_ranks_nothing(tmp_path, monkeypatch):
+    """A strategy is ranked only for a positive budget."""
+    calls = []
+    monkeypatch.setattr(epidemic, "detect", counting(calls, epidemic.detect))
+    text = (EPI.replace("budgets = 0.05", "budgets = 0.0")
+            .replace("underlying-top:degree, random-whole",
+                     "reconstructed-top:k_out"))
+    _, written = run_tiny(tmp_path, text, "zero-rank", stage="epidemic")
+    assert len(read_table(written["epidemic"])) == 1 + 2
+    assert calls == []
+
+
+@pytest.mark.parametrize("token", ["reconstructed-top:degree",
+                                   "reconstructed-frequency-random"])
+def test_budget_beyond_the_ranked_pool_is_an_error(tmp_path, token):
+    """A budget larger than the vertices seen in the ensemble writes one
+    error row and no epidemic row; the smaller budget is still scored."""
+    text = (EPI.replace("budgets = 0.05", "budgets = 0.05, 0.9")
+            .replace("underlying-top:degree, random-whole", token))
+    _, written = run_tiny(tmp_path, text, "beyond", stage="epidemic")
+    errors = read_table(written["errors"])[1:]
+    assert [r[-2] for r in errors] == [f"epidemic:{token}"]
+    assert errors[0][-1].startswith("budget 108 exceeds the ")
+    assert errors[0][-1].endswith(" vertices the strategy ranks")
+    table = read_table(written["epidemic"])[1:]
+    budget = EPIDEMIC_HEADER.index("budget")
+    assert [r[budget] for r in table] == ["0.05", "0.05"]
+
+
 ALL_KINDS = ("underlying-top:embeddedness-low, reconstructed-top:k_out, "
              "reconstructed-frequency-random, random-whole")
 
