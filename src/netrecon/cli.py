@@ -146,6 +146,8 @@ def _read_merges(path, n_occ: int) -> list[MergeEvent]:
             try:
                 _, a, b, prob = row
                 a, b = (tuple(int(t) for t in cell.split()) for cell in (a, b))
+                if not (a and b):
+                    raise ValueError("each side of a merge needs a member")
                 if not all(0 <= m < n_occ for m in a + b):
                     raise ValueError(f"member ids must lie in [0, {n_occ})")
                 log.append(MergeEvent(a, b, float(prob)))

@@ -233,9 +233,13 @@ def read_partition(source, n: int | None = None) -> np.ndarray:
             parts = s.split()
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected 'vertex value'")
-            if int(parts[0]) in pairs:
-                raise ValueError(f"line {lineno}: vertex {parts[0]} is listed twice")
-            pairs[int(parts[0])] = int(parts[1])
+            try:
+                v, c = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ValueError(f"line {lineno}: non-integer vertex or value") from None
+            if v in pairs:
+                raise ValueError(f"line {lineno}: vertex {v} is listed twice")
+            pairs[v] = c
     if not pairs:
         raise ValueError("partition file is empty")
     size = n if n is not None else max(pairs) + 1

@@ -58,20 +58,19 @@ def project(provenance: np.ndarray, forest: SampleForest) -> np.ndarray:
     prov = np.asarray(provenance)
     if prov.shape != (forest.size,):
         raise ValueError("provenance must cover every occurrence")
-    k = int(prov.max()) + 1
-    out = np.full(k, -1, dtype=np.int64)
-    members: list[list[int]] = [[] for _ in range(k)]
-    for occ, v in enumerate(prov):
-        members[int(v)].append(occ)
-    for v, occs in enumerate(members):
-        if not occs:
-            raise ValueError(f"reconstructed vertex {v} has no occurrences")
-        resp = [o for o in occs if forest.kind[o] == RESPONDENT]
-        if resp:
-            out[v] = forest.truth[resp[0]]
-            continue
-        ids, counts = np.unique(forest.truth[occs], return_counts=True)
-        out[v] = ids[counts == counts.max()].min()
+    size = np.bincount(prov)
+    if not size.all():
+        raise ValueError(f"reconstructed vertex {int(np.argmin(size))} has no occurrences")
+    # the majority truth of each vertex: its (vertex, truth) pairs by
+    # vertex, then count descending, then truth ascending; the first wins
+    (vertex, truth), count = np.unique(np.stack([prov, forest.truth]), axis=1,
+                                       return_counts=True)
+    order = np.lexsort((truth, -count, vertex))
+    first = np.flatnonzero(np.diff(vertex[order], prepend=-1))
+    out = truth[order[first]]
+    resp = np.flatnonzero(forest.kind == RESPONDENT)
+    v, at = np.unique(prov[resp], return_index=True)  # a vertex's first respondent
+    out[v] = forest.truth[resp[at]]
     return out
 
 

@@ -49,9 +49,6 @@ __all__ = [
     "reconstruct",
 ]
 
-_SCAN = 1 << 18  # occurrence pairs compared at once while building
-
-
 @dataclass(frozen=True)
 class MergeEvent:
     """One accepted merge: member occurrences of both sides + probability."""
@@ -98,7 +95,7 @@ class ReconState:
     the candidates of a group (alive, payload intervals overlapping, not
     respondent-respondent) with their merge probabilities.  A merge only
     narrows payloads, so group i's candidates are always among the
-    initial candidates of occurrence i, which are listed once.
+    initial candidates of occurrence i, listed once per payload type.
 
     ``n_pairs`` counts the candidate pairs, ``w_sum`` holds the row sums
     and ``w_pos`` the number of positive weights in each row: a row whose
@@ -133,7 +130,7 @@ class ReconState:
         self._friend = (self.kind == FRIEND).tolist()  # for Python loops
         self._mass = self._slot_mass(np.arange(n))
         self._cands, self.w_sum, self.w_pos = self._initial_rows()
-        self.n_pairs = sum(c.size for c in self._cands) // 2
+        self.n_pairs = (sum(c.size for c in self._cands) - sum(self._friend)) // 2
         self._rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # since the last merge
 
     @property
@@ -145,9 +142,9 @@ class ReconState:
     # -- probabilities ---------------------------------------------------
 
     def _forbidden(self, i: int) -> list[int]:
-        """Groups an adjacency rule keeps from merging with i: its
-        neighbors and, for a friend, the friends of its respondents."""
-        out = list(self.adj[i])
+        """Groups i may not merge with: itself, its neighbors and, for a
+        friend, the friends of its respondents."""
+        out = [i, *self.adj[i]]
         if self._friend[i]:
             out += [x for x in chain.from_iterable(self.adj[r] for r in self.adj[i])
                     if self._friend[x]]
@@ -184,27 +181,27 @@ class ReconState:
 
     def _initial_rows(self):
         """Each occurrence's initial candidates, ascending, with the sum
-        and positive count of their weights.  The pairs are scanned a
-        block of rows at a time, so the scratch arrays stay bounded."""
+        and positive count of their weights.  The members of a payload
+        type (kind, lo, hi) share one list; a friend's includes itself."""
         n = self.kind.size
-        lo, hi, resp = self.lo, self.hi, self._resp
+        types, of_type = np.unique(np.stack([self.kind, self.lo, self.hi], axis=1),
+                                   axis=0, return_inverse=True)
+        kind, lo, hi = types.T
+        resp = kind == RESPONDENT
+        shared: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         cands: list[np.ndarray] = []
         w_sum = np.zeros(n)
         w_pos = np.zeros(n, dtype=np.int64)
-        step = max(1, _SCAN // n)
-        for start in range(0, n, step):
-            rows = np.arange(start, min(start + step, n))
-            keep = (lo[rows, None] <= hi) & (hi[rows, None] >= lo)
-            keep &= ~(resp[rows, None] & resp)
-            keep[rows - start, rows] = False
-            k, j = keep.nonzero()
-            w = self._weights(rows[k], j)
-            cut = np.cumsum(np.bincount(k, minlength=rows.size))[:-1]
-            cands += np.split(j, cut)
-            for r, ids, v in zip(rows.tolist(), cands[start:], np.split(w, cut)):
-                self._allowed(r, ids, v)  # v is a view: zeroes w
-            w_sum[rows] = np.bincount(k, weights=w, minlength=rows.size)
-            w_pos[rows] = np.bincount(k[w > 0], minlength=rows.size)
+        for i, t in enumerate(of_type.tolist()):
+            if t not in shared:  # i is the type's first member
+                near = (lo <= hi[t]) & (hi >= lo[t]) & ~(resp[t] & resp)
+                ids = np.flatnonzero(near[of_type])
+                shared[t] = ids, self._weights(i, ids)
+            ids, w = shared[t]
+            cands.append(ids)
+            w = self._allowed(i, ids, w.copy())
+            w_sum[i] = sum(w.tolist())  # left to right: its rounding fixes the draws
+            w_pos[i] = np.count_nonzero(w)
         return cands, w_sum, w_pos
 
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -212,7 +209,7 @@ class ReconState:
         the arrays are shared with later calls until the next merge."""
         if i not in self._rows:
             ids = self._cands[i]
-            ids = ids[self.alive[ids] & (self.lo[ids] <= self.hi[i])
+            ids = ids[self.alive[ids] & (ids != i) & (self.lo[ids] <= self.hi[i])
                       & (self.hi[ids] >= self.lo[i])]
             self._rows[i] = ids, self._allowed(i, ids, self._weights(i, ids))
         return self._rows[i]

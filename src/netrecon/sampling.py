@@ -279,25 +279,29 @@ def read_forest(source, g: int | None = None) -> SampleForest:
             s = line.strip()
             if not s:
                 continue
-            if s.startswith("#"):
-                toks = s[1:].split()
-                if len(toks) == 2 and toks[0] == "g":
-                    header_g = int(toks[1])
-                continue
-            parts = s.split()
-            if len(parts) != 5:
-                raise ValueError(f"line {lineno}: expected 5 fields")
-            t, occ, kd, par, payload = parts
-            if kd == "R":
-                a = int(payload)
-                rows.append((int(t), int(occ), RESPONDENT, int(par), a, a))
-            elif kd == "F":
-                if ".." not in payload:
-                    raise ValueError(f"line {lineno}: friend payload must be lo..hi")
-                lo_s, hi_s = payload.split("..", 1)
-                rows.append((int(t), int(occ), FRIEND, int(par), int(lo_s), int(hi_s)))
-            else:
-                raise ValueError(f"line {lineno}: unknown kind {kd!r}")
+            try:
+                if s.startswith("#"):
+                    toks = s[1:].split()
+                    if len(toks) == 2 and toks[0] == "g":
+                        header_g = int(toks[1])
+                    continue
+                parts = s.split()
+                if len(parts) != 5:
+                    raise ValueError("expected 5 fields")
+                t, occ, kd, par, payload = parts
+                if kd == "R":
+                    a = int(payload)
+                    rows.append((int(t), int(occ), RESPONDENT, int(par), a, a))
+                elif kd == "F":
+                    if ".." not in payload:
+                        raise ValueError("friend payload must be lo..hi")
+                    lo_s, hi_s = payload.split("..", 1)
+                    rows.append((int(t), int(occ), FRIEND, int(par), int(lo_s),
+                                 int(hi_s)))
+                else:
+                    raise ValueError(f"unknown kind {kd!r}")
+            except ValueError as exc:  # int() names the field, not the line
+                raise ValueError(f"line {lineno}: {exc}") from None
     if not rows:
         raise ValueError("forest file is empty")
     rows.sort(key=lambda r: r[1])

@@ -18,7 +18,10 @@ the very same state.  Law oracles (:func:`randomize_edges_reference`,
 a rewrite is checked against them by statistical tests over many seeds.
 :func:`select_immunized_reference` is the package's former per-budget
 immunization choice, against which its one ranking per strategy is
-checked prefix by prefix.
+checked prefix by prefix.  :func:`initial_rows_reference` is the
+coalescer's former scan of every occurrence pair, and
+:func:`project_reference` its former per-vertex projection loop; the
+package's rewrites must match them exactly.
 """
 
 from __future__ import annotations
@@ -140,6 +143,37 @@ def merge_precision_reference(events, truth) -> float:
         if len(people) == 1:
             good += 1
     return good / len(events)
+
+
+def project_reference(provenance, forest):
+    """Each reconstructed vertex's underlying id, one vertex at a time:
+    its first respondent's truth, else the majority truth of its members,
+    ties to the smallest id.  The package's former loop, kept as it was
+    written, errors included."""
+    import numpy as np
+
+    from netrecon import RESPONDENT
+
+    if forest.truth is None:
+        raise ValueError("projection requires the forest truth mapping")
+    prov = np.asarray(provenance)
+    if prov.shape != (forest.size,):
+        raise ValueError("provenance must cover every occurrence")
+    k = int(prov.max()) + 1
+    out = np.full(k, -1, dtype=np.int64)
+    members = [[] for _ in range(k)]
+    for occ, v in enumerate(prov):
+        members[int(v)].append(occ)
+    for v, occs in enumerate(members):
+        if not occs:
+            raise ValueError(f"reconstructed vertex {v} has no occurrences")
+        resp = [o for o in occs if forest.kind[o] == RESPONDENT]
+        if resp:
+            out[v] = forest.truth[resp[0]]
+            continue
+        ids, counts = np.unique(forest.truth[occs], return_counts=True)
+        out[v] = ids[counts == counts.max()].min()
+    return out
 
 
 def community_precision_reference(labels, reference, projection) -> float:
@@ -316,6 +350,41 @@ def final_groupings_reference(is_respondent, lo, hi, parent, probs, n_t):
         return memo[grouping]
 
     return law(frozenset(frozenset({occ}) for occ in range(len(parent))))
+
+
+def initial_rows_reference(state, scan=1 << 18):
+    """Each occurrence's initial candidates, ascending, with the sum and
+    positive count of their weights, as the coalescer built them before
+    it listed candidates per payload type: every occurrence pair is
+    compared, ``scan`` pairs at a time, and a row sums its weights in
+    order through ``np.bincount``.
+
+    Kept as the package wrote it, so it reads the ``_resp``,
+    ``_weights`` and ``_allowed`` of the :class:`ReconState` it is
+    given; returns ``(cands, w_sum, w_pos)``.
+    """
+    import numpy as np
+
+    n = state.kind.size
+    lo, hi, resp = state.lo, state.hi, state._resp
+    cands = []
+    w_sum = np.zeros(n)
+    w_pos = np.zeros(n, dtype=np.int64)
+    step = max(1, scan // n)
+    for start in range(0, n, step):
+        rows = np.arange(start, min(start + step, n))
+        keep = (lo[rows, None] <= hi) & (hi[rows, None] >= lo)
+        keep &= ~(resp[rows, None] & resp)
+        keep[rows - start, rows] = False
+        k, j = keep.nonzero()
+        w = state._weights(rows[k], j)
+        cut = np.cumsum(np.bincount(k, minlength=rows.size))[:-1]
+        cands += np.split(j, cut)
+        for r, ids, v in zip(rows.tolist(), cands[start:], np.split(w, cut)):
+            state._allowed(r, ids, v)  # v is a view: zeroes w
+        w_sum[rows] = np.bincount(k, weights=w, minlength=rows.size)
+        w_pos[rows] = np.bincount(k[w > 0], minlength=rows.size)
+    return cands, w_sum, w_pos
 
 
 def _discrepancy(edges, values):

@@ -123,6 +123,14 @@ def test_partition_rejects_a_vertex_listed_twice():
         read_partition(io.StringIO("0 5\n1 6\n0 7\n"))
 
 
+@pytest.mark.parametrize("text, lineno", [("0 5\n# note\n1 x\n", 3),
+                                          ("0 5\n1.5 6\n", 2)])
+def test_partition_rejects_a_non_integer_field(text, lineno):
+    with pytest.raises(ValueError,
+                       match=rf"^line {lineno}: non-integer vertex or value$"):
+        read_partition(io.StringIO(text))
+
+
 def test_graph_arrays_are_read_only():
     g = load_edge_list(io.StringIO("10 20\n20 30\n"))
     for arr in (g.indptr, g.indices, g.labels, g.neighbors(1)):

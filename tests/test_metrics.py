@@ -24,6 +24,7 @@ from oracles import (
     community_precision_reference,
     merge_precision_reference,
     nmi_reference,
+    project_reference,
     ranks_reference,
     spearman_reference,
     vertex_properties_reference,
@@ -96,6 +97,22 @@ def test_project_validation():
         project(np.array([0, 2]), forest)  # vertex 1 has no occurrences
     with pytest.raises(ValueError):
         project(np.array([0, 1]), forest.without_truth())
+
+
+def test_project_matches_the_reference():
+    """Random forests and provenances, with several respondents in some
+    groups, many-way ties and singleton vertices."""
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        kind = np.where(rng.random(n) < rng.random(), RESPONDENT, FRIEND)
+        forest = make_forest(kind, truth=rng.integers(0, int(rng.integers(1, 12)), n))
+        k = int(rng.integers(1, n + 1))
+        prov = rng.permutation(np.concatenate([np.arange(k),
+                                               rng.integers(0, k, n - k)]))
+        out = project(prov, forest)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, project_reference(prov, forest))
 
 
 def test_community_precision_hand_case():

@@ -414,7 +414,8 @@ def test_cli_rejects_a_malformed_merge_log(tmp_path, capsys):
     capsys.readouterr()
     for row, message in (("0,1 2", "expected 4, got 2"),
                          ("0,1 x,3,0.5", "invalid literal for int()"),
-                         ("0,1,100000,0.5", "member ids must lie in [0, ")):
+                         ("0,1,100000,0.5", "member ids must lie in [0, "),
+                         ("0,,3,0.5", "each side of a merge needs a member")):
         merges.write_text(f"{header}\n{row}\n")
         for step in ("metrics", "communities"):
             assert main([step, "--config", path, "--out", str(out)]) == 2

@@ -17,6 +17,7 @@ from netrecon import (
     assign_attributes,
     assign_distinct,
     coalescing_precision,
+    discretized_normal,
     elicit_friends,
     generate_lfr_like,
     reconstruct,
@@ -27,7 +28,8 @@ from netrecon import (
 from netrecon.sampling import SampleForest
 
 from oracles import (coalescing_reference, final_groupings_reference,
-                     group_graph_reference, groups_of, replay_merges)
+                     group_graph_reference, groups_of, initial_rows_reference,
+                     replay_merges)
 
 UNIFORM50 = uniform_distribution(50)
 
@@ -482,6 +484,87 @@ def test_state_memory_stays_below_a_dense_matrix():
         tracemalloc.stop()
     assert 0 < state.n_pairs < n
     assert peak < n * n
+
+
+@pytest.mark.parametrize("g, c, f, method", [(50, 1, 5, "rpm"), (20, 3, 5, "rpm"),
+                                          (None, 1, 25, "hpm")],
+                         ids=["sweep-heavy", "coalesce-large", "test_09"])
+def test_rows_listed_per_type_match_the_pair_scan(sampled, g, c, f, method):
+    """Candidates listed once per payload type give every occurrence the
+    row, row sum (bit for bit), positive count and pair count that a scan
+    of every occurrence pair gives, on small forests shaped like the
+    benchmark's (normal categories) and test_09's (g = n, uniform)."""
+    for seed in range(3):
+        dist = uniform_distribution(sampled.n) if g is None else discretized_normal(g)
+        attrs = assign_attributes(sampled.n, dist, seed=seed)
+        paths = sample_paths(sampled, 30, method, seed=40 + seed)
+        forest = elicit_friends(sampled, attrs, paths, f, c, seed=50 + seed)
+        state = ReconState(forest, dist, forest.n_t)
+        cands, w_sum, w_pos = initial_rows_reference(state)
+        for i, ids in enumerate(cands):
+            assert np.array_equal(state.row(i)[0], ids)
+        assert np.array_equal(state.w_sum, w_sum)
+        assert np.array_equal(state.w_pos, w_pos)
+        assert state.n_pairs * 2 == sum(ids.size for ids in cands) > 0
+
+
+def edge_forest():
+    """Payload types at the edges of the per-type candidate lists.
+
+      occ 0  respondent, category 9   no friend's interval holds 9
+      occ 1  friend, [1, 2]           overlaps no payload but its own; named
+                                      by nobody, so no ban covers itself
+      occ 2  respondent, category 5   (next on the path of 0)
+      occ 3  friend of 2, [4, 6]
+      occ 4  friend of 0, [5, 5]
+    """
+    return SampleForest(tree=[0] * 5, parent=[-1, -1, 0, 2, 0],
+                        kind=[RESPONDENT, FRIEND, RESPONDENT, FRIEND, FRIEND],
+                        lo=[9, 1, 5, 4, 5], hi=[9, 2, 5, 6, 5], g=10)
+
+
+def test_rows_at_the_edges_of_the_type_lists(sampled):
+    """A respondent type no friend overlaps and a friend type that
+    overlaps only itself get empty rows; a forest without friends has no
+    candidate pair.  Every row matches the oracle."""
+    dist = uniform_distribution(10)
+    forest = edge_forest()
+    n_t = forest.n_r + 1
+    state = ReconState(forest, dist, n_t)
+    cand, prob = reference_for(forest, [[i] for i in range(forest.size)],
+                               dist, n_t)
+    for i in range(forest.size):
+        ids, w = state.row(i)
+        keys = [(min(i, j), max(i, j)) for j in range(forest.size) if j != i]
+        assert [max(key) if min(key) == i else min(key) for key in keys
+                if cand[key]] == ids.tolist()
+        assert w.tolist() == pytest.approx([prob[key] for key in keys if cand[key]],
+                                           rel=1e-12)
+        assert state.w_sum[i] == pytest.approx(w.sum(), rel=1e-12)
+        assert state.w_pos[i] == np.count_nonzero(w)
+    assert state.row(0)[0].size == state.row(1)[0].size == 0
+    assert state.n_pairs == 3  # (2, 3), (2, 4) and (3, 4)
+    state.check_invariants(forest)
+
+    attrs = assign_attributes(sampled.n, dist, seed=0)
+    paths = sample_paths(sampled, 12, "rpm", seed=1)
+    alone = elicit_friends(sampled, attrs, paths, 0, 1, seed=2)
+    state = ReconState(alone, dist, alone.size)
+    assert state.n_pairs == 0 and not state.w_pos.any()
+    assert all(state.row(i)[0].size == 0 for i in range(alone.size))
+    assert reconstruct(alone, dist, alone.size, seed=3).log == []
+
+
+def test_no_candidate_pair_stalls_at_once():
+    """A respondent whose category no friend names, and its friend whose
+    interval nobody else's overlaps: nothing can merge."""
+    forest = SampleForest(tree=[0, 0], parent=[-1, 0], kind=[RESPONDENT, FRIEND],
+                          lo=[9, 1], hi=[9, 2], g=10)
+    assert ReconState(forest, SKEWED10, 1).n_pairs == 0
+    with pytest.raises(ReconstructionStalled,
+                       match=r"^no candidate pairs left at size 2 \(target 1\)$") as info:
+        reconstruct(forest, SKEWED10, 1, seed=0)
+    assert info.value.partial.attempts == 0
 
 
 def test_dead_end_stalls_at_once():

@@ -226,6 +226,14 @@ FOREST_HEAD = "# g 10\n0 0 R -1 5\n0 1 F 0 4..6\n"
     pytest.param("0 2 F 0 7..5", "payload intervals", id="empty-interval"),
     pytest.param("0 2 F 0 0..3", "payload intervals", id="starts-below-one"),
     pytest.param("0 2 F 0 8..12", "payload intervals", id="ends-beyond-g"),
+    pytest.param("0 2 R 0 five", r"^line 4: invalid literal for int\(\)",
+                 id="non-integer-category"),
+    pytest.param("0 2 F x 4..6", r"^line 4: invalid literal for int\(\)",
+                 id="non-integer-parent"),
+    pytest.param("0 2 F 0 4..", r"^line 4: invalid literal for int\(\)",
+                 id="missing-hi"),
+    pytest.param("# g ten", r"^line 4: invalid literal for int\(\)",
+                 id="non-integer-g-header"),
 ])
 def test_read_forest_rejects_malformed_occurrences(line, message):
     assert read_forest(io.StringIO(FOREST_HEAD)).size == 2
