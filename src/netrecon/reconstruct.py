@@ -186,6 +186,7 @@ class ReconState:
         n = self.kind.size
         types, of_type = np.unique(np.stack([self.kind, self.lo, self.hi], axis=1),
                                    axis=0, return_inverse=True)
+        of_type = of_type.ravel()  # 1-D on every numpy 2 release
         kind, lo, hi = types.T
         resp = kind == RESPONDENT
         shared: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -200,7 +201,8 @@ class ReconState:
             ids, w = shared[t]
             cands.append(ids)
             w = self._allowed(i, ids, w.copy())
-            w_sum[i] = sum(w.tolist())  # left to right: its rounding fixes the draws
+            # in order, as np.bincount did: its rounding fixes the draws
+            w_sum[i] = np.cumsum(w)[-1] if w.size else 0.0
             w_pos[i] = np.count_nonzero(w)
         return cands, w_sum, w_pos
 
