@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, frozen_array
+from .graph import (Graph, frozen_array, g_header, open_text, read_partition,
+                    write_partition)
 
 __all__ = [
     "CategoryDistribution",
@@ -96,13 +97,20 @@ class AttributeMap:
         return int(self.values[v])
 
     def write(self, target) -> None:
-        from .graph import write_partition
-        write_partition(self.values, target)
+        """A ``# g N`` line, then one ``vertex category`` line per vertex."""
+        with open_text(target, "w") as fh:
+            fh.write(f"# g {self.g}\n")
+            write_partition(self.values, fh)
 
     @classmethod
-    def read(cls, source, g: int, n: int | None = None) -> "AttributeMap":
-        from .graph import read_partition
-        return cls(read_partition(source, n=n), g)
+    def read(cls, source, n: int | None = None) -> "AttributeMap":
+        """Parse a file written by :meth:`write`; its first line gives g."""
+        with open_text(source) as fh:
+            lines = fh.readlines()
+        g = g_header(lines[0]) if lines else None
+        if g is None:
+            raise ValueError("line 1: expected the '# g N' header")
+        return cls(read_partition(lines, n=n), g)
 
 
 def assign_attributes(n: int, dist: CategoryDistribution, seed: int) -> AttributeMap:

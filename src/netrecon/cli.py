@@ -15,9 +15,12 @@ results through plain files in the output directory:
 Each stage command reads its input files, calls the same stage function
 of :mod:`netrecon.pipeline` that ``run`` calls (at repetition 0), and
 writes the result, so chaining them reproduces the corresponding rows
-of a full ``run``.  ``recon.edges`` is written for inspection only: the
-later stages rebuild the reconstruction from forest.txt and
-provenance.txt.
+of a full ``run``.  attributes.txt and forest.txt start with a ``# g N``
+line, and a stage refuses a file whose g is not the config's.
+``recon.edges`` is written for inspection only: the later stages rebuild
+the reconstruction from forest.txt and provenance.txt, and refuse a
+merges.csv that is not the log of that provenance.  ``epidemic`` reads
+no file: it builds its network and attributes from the config.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ import csv
 import os
 import sys
 from dataclasses import replace
+
+import numpy as np
 
 from .attributes import AttributeMap
 from .communities import modularity
@@ -102,10 +107,20 @@ def _load_network(cfg: ExperimentConfig) -> Graph:
     return load_edge_list(os.path.join(cfg.out, "network.edges"))
 
 
+def _read_with_g(read, cfg: ExperimentConfig, name: str, point):
+    """``read`` of the stage file ``name``, whose category count must be
+    the config's."""
+    path = os.path.join(cfg.out, name)
+    obj = read(path)
+    if obj.g != point.g:
+        raise ValueError(f"{path} has g = {obj.g}, but the config has g = {point.g}")
+    return obj
+
+
 def cmd_sample(cfg: ExperimentConfig, args) -> int:
     point = _single_point(cfg)
     graph = _load_network(cfg)
-    attrs = AttributeMap.read(os.path.join(cfg.out, "attributes.txt"), g=point.g)
+    attrs = _read_with_g(AttributeMap.read, cfg, "attributes.txt", point)
     if attrs.values.size != graph.n:
         raise ValueError(
             f"attributes cover {attrs.values.size} vertices but the edge list "
@@ -121,7 +136,7 @@ def cmd_sample(cfg: ExperimentConfig, args) -> int:
 
 def _load_forest(cfg: ExperimentConfig, point):
     """forest.txt with the truth of truth.txt attached."""
-    forest = read_forest(os.path.join(cfg.out, "forest.txt"), g=point.g)
+    forest = _read_with_g(read_forest, cfg, "forest.txt", point)
     truth = read_truth(os.path.join(cfg.out, "truth.txt"), n_occ=forest.size)
     return replace(forest, truth=truth)
 
@@ -135,9 +150,12 @@ def _write_merges(log: list[MergeEvent], path) -> None:
                         " ".join(map(str, ev.members_b)), repr(ev.probability)])
 
 
-def _read_merges(path, n_occ: int) -> list[MergeEvent]:
-    """merges.csv of a forest of ``n_occ`` occurrences; a malformed row
-    is an error naming its line."""
+def _read_merges(path, provenance: np.ndarray) -> list[MergeEvent]:
+    """merges.csv, the log of the reconstruction that ``provenance``
+    records; a malformed row, or a log of another reconstruction, is an
+    error naming its line."""
+    n_occ = provenance.size
+    merges = n_occ - (int(provenance.max()) + 1)  # each merge joins two groups
     log = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -146,13 +164,24 @@ def _read_merges(path, n_occ: int) -> list[MergeEvent]:
             try:
                 _, a, b, prob = row
                 a, b = (tuple(int(t) for t in cell.split()) for cell in (a, b))
+                prob = float(prob)
                 if not (a and b):
                     raise ValueError("each side of a merge needs a member")
                 if not all(0 <= m < n_occ for m in a + b):
                     raise ValueError(f"member ids must lie in [0, {n_occ})")
-                log.append(MergeEvent(a, b, float(prob)))
+                if np.unique(provenance[list(a + b)]).size > 1:
+                    raise ValueError("the members lie in different vertices "
+                                     "of provenance.txt")
+                if not 0 < prob <= 1:
+                    raise ValueError(f"probability {prob!r} is outside (0, 1]")
+                if len(log) == merges:
+                    raise ValueError(f"provenance.txt records only {merges} merges")
+                log.append(MergeEvent(a, b, prob))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    if len(log) < merges:
+        raise ValueError(f"{path}: line {reader.line_num}: the log ends after "
+                         f"{len(log)} merges; provenance.txt records {merges}")
     return log
 
 
@@ -177,7 +206,7 @@ def _load_recon(cfg: ExperimentConfig, forest: SampleForest) -> ReconResult:
     """
     provenance = read_partition(os.path.join(cfg.out, "provenance.txt"),
                                 n=forest.size)
-    log = _read_merges(os.path.join(cfg.out, "merges.csv"), forest.size)
+    log = _read_merges(os.path.join(cfg.out, "merges.csv"), provenance)
     return ReconResult(coalesced_network(forest, provenance), provenance, log,
                        attempts=0)
 
@@ -190,7 +219,7 @@ def cmd_communities(cfg: ExperimentConfig, args) -> int:
     print(f"network: {labels.max() + 1} communities, "
           f"modularity={modularity(graph, labels):.4f}")
     if os.path.exists(os.path.join(cfg.out, "provenance.txt")):
-        forest = read_forest(os.path.join(cfg.out, "forest.txt"), g=point.g)
+        forest = _read_with_g(read_forest, cfg, "forest.txt", point)
         rgraph = _load_recon(cfg, forest).graph
         rlabels = _communities(cfg, point, 0, rgraph, "recon")
         write_partition(rlabels, _out_path(cfg, "communities_recon.txt"))

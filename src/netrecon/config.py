@@ -15,7 +15,7 @@ from itertools import product
 from typing import get_args, get_origin, get_type_hints
 
 from .epidemic import DEFAULT_STRATEGIES, SirParams, StrategySpec
-from .generate import LfrParams, _degree_cutoff
+from .generate import LfrParams
 from .sampling import METHODS
 
 __all__ = ["ExperimentConfig", "SweepPoint", "parse_config"]
@@ -102,7 +102,6 @@ class ExperimentConfig:
             for mu in self.mu:
                 LfrParams(self.n, self.k_avg, self.k_max, mu, self.tau1,
                           self.tau2, self.c_min, self.c_max)
-            _degree_cutoff(self.k_avg, self.k_max, self.tau1)
         else:
             if not self.edgelist_path:
                 raise ValueError("network = edgelist needs edgelist_path")

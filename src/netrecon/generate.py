@@ -66,6 +66,12 @@ class LfrParams:
             raise ValueError("need 1 <= c_min <= c_max <= n")
         if self.tau1 <= 1 or self.tau2 <= 0:
             raise ValueError("power-law exponents out of range")
+        _degree_cutoff(self.k_avg, self.k_max, self.tau1)  # raises if unreachable
+        # the fewest communities that can hold n, ceil(n / c_max), need
+        # more than n vertices at c_min each
+        if -(-self.n // self.c_max) * self.c_min > self.n:
+            raise ValueError(f"no community count k satisfies "
+                             f"k*{self.c_min} <= {self.n} <= k*{self.c_max}")
 
 
 def _power_law_pmf(exponent: float, lo: int, hi: int) -> np.ndarray:
@@ -93,10 +99,6 @@ def _degree_cutoff(k_avg: float, k_max: int, tau1: float) -> int:
 def _community_sizes(params: LfrParams, rng: np.random.Generator) -> np.ndarray:
     """Power-law community sizes in [c_min, c_max] summing exactly to n."""
     n, c_min, c_max = params.n, params.c_min, params.c_max
-    k0 = -(-n // c_max)  # ceil
-    if k0 * c_min > n:
-        raise ValueError(
-            f"no community count k satisfies k*{c_min} <= {n} <= k*{c_max}")
     support = np.arange(c_min, c_max + 1)
     pmf = _power_law_pmf(params.tau2, c_min, c_max)
     for _ in range(500):

@@ -149,7 +149,8 @@ class Graph:
 @contextmanager
 def open_text(target, mode: str = "r"):
     """Yield a text stream for ``target``: a path is opened (and closed on
-    exit) as UTF-8, an open stream is passed through and left open."""
+    exit) as UTF-8, an open stream (or a list of lines) is passed through
+    and left open."""
     if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
         with open(target, mode, encoding="utf-8") as fh:
             yield fh
@@ -220,6 +221,14 @@ def write_partition(values: np.ndarray, target) -> None:
     with open_text(target, "w") as fh:
         for v, c in enumerate(np.asarray(values)):
             fh.write(f"{v} {int(c)}\n")
+
+
+def g_header(line: str) -> int | None:
+    """N of a ``# g N`` line, which heads a file of categories in 1..N;
+    None for any other line."""
+    s = line.strip()
+    toks = s[1:].split() if s.startswith("#") else []
+    return int(toks[1]) if len(toks) == 2 and toks[0] == "g" else None
 
 
 def read_partition(source, n: int | None = None) -> np.ndarray:

@@ -65,8 +65,9 @@ class ReconResult:
     ``graph`` is the coalesced simple graph; ``provenance[occ]`` gives
     the reconstructed vertex each forest occurrence ended up in;
     ``log`` lists the merge events in order; ``attempts`` counts the
-    candidate-pair draws of the rejection process, rejected ones
-    included.
+    candidate-pair draws that drawing pairs uniformly and accepting each
+    with its probability would have made, rejected ones included.  It
+    is drawn, one geometric variate per merge, and limits nothing.
     """
 
     graph: Graph
@@ -76,7 +77,8 @@ class ReconResult:
 
 
 class ReconstructionStalled(RuntimeError):
-    """Raised when the target size cannot be reached.
+    """Raised when the target size cannot be reached: no candidate pair
+    is left, or none has a positive merge probability.
 
     Carries the partial result so callers can inspect or keep what was
     coalesced so far.
@@ -329,8 +331,7 @@ def _draw(cum: np.ndarray, u: float) -> int:
 
 
 def reconstruct(forest: SampleForest, dist: CategoryDistribution, n_t: int,
-                seed: int, max_attempts: int | None = None,
-                validate: bool = False) -> ReconResult:
+                seed: int) -> ReconResult:
     """Coalesce ``forest`` down to ``n_t`` vertices.
 
     Each merge falls on a candidate pair with probability p / Σp, where
@@ -342,11 +343,7 @@ def reconstruct(forest: SampleForest, dist: CategoryDistribution, n_t: int,
 
     Raises :class:`ReconstructionStalled` — carrying the partial result —
     at once when no candidate pair is left or none has a positive
-    probability (``attempts`` then counts only the draws made), and when
-    the attempt budget (default ``1000 * forest.size``) would run out
-    before the next merge (``attempts`` is then the budget).
-    ``validate=True`` checks the state after every merge (slow; for
-    tests).
+    probability; ``attempts`` then counts the draws made so far.
     """
     n = forest.size
     n_resp = forest.n_r
@@ -356,29 +353,21 @@ def reconstruct(forest: SampleForest, dist: CategoryDistribution, n_t: int,
         raise ValueError(
             f"target size {n_t} is below the respondent count {n_resp}; "
             "respondents never coalesce with each other")
-    if max_attempts is None:
-        max_attempts = 1000 * n
     state = ReconState(forest, dist, n_t)
     rng = np.random.default_rng(seed)
     log: list[MergeEvent] = []
     attempts = 0
     while state.n_alive > n_t:
-        if state.n_pairs == 0:
-            raise ReconstructionStalled(
-                f"no candidate pairs left at size {state.n_alive} (target {n_t})",
-                _result(forest, state, log, attempts))
-        # a row with no positive weight left may still hold rounding residue
+        # a row with no positive weight left may still hold rounding
+        # residue; with no candidate pair left, every row is empty
         cum = np.cumsum(np.where(state.w_pos > 0, state.w_sum, 0.0))
         if cum[-1] <= 0:
+            reason = ("no candidate pairs left" if state.n_pairs == 0 else
+                      "no candidate pair has positive merge probability")
             raise ReconstructionStalled(
-                "no candidate pair has positive merge probability at size "
-                f"{state.n_alive} (target {n_t})",
+                f"{reason} at size {state.n_alive} (target {n_t})",
                 _result(forest, state, log, attempts))
         attempts += int(rng.geometric(min(1.0, float(cum[-1]) / 2 / state.n_pairs)))
-        if attempts > max_attempts:
-            raise ReconstructionStalled(
-                f"attempt budget {max_attempts} exhausted at size {state.n_alive} "
-                f"(target {n_t})", _result(forest, state, log, max_attempts))
         a = _draw(cum, rng.random())
         ids, w = state.row(a)
         k = _draw(np.cumsum(w), rng.random())
@@ -386,6 +375,4 @@ def reconstruct(forest: SampleForest, dist: CategoryDistribution, n_t: int,
         log.append(MergeEvent(tuple(sorted(state.members[a])),
                               tuple(sorted(state.members[b])), float(w[k])))
         state.merge(a, b)
-        if validate:
-            state.check_invariants(forest)
     return _result(forest, state, log, attempts)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .attributes import AttributeMap
-from .graph import Graph, open_text, read_partition, write_partition
+from .graph import Graph, g_header, open_text, read_partition, write_partition
 from .seeding import derive_seed
 
 __all__ = [
@@ -270,8 +270,9 @@ def write_forest(forest: SampleForest, target) -> None:
             fh.write(f"{int(forest.tree[i])} {i} {kd} {int(forest.parent[i])} {payload}\n")
 
 
-def read_forest(source, g: int | None = None) -> SampleForest:
-    """Parse a forest file written by :func:`write_forest` (truth absent)."""
+def read_forest(source) -> SampleForest:
+    """Parse a forest file written by :func:`write_forest` (truth absent);
+    its ``# g N`` header gives the category count."""
     rows = []
     header_g = None
     with open_text(source) as fh:
@@ -281,9 +282,8 @@ def read_forest(source, g: int | None = None) -> SampleForest:
                 continue
             try:
                 if s.startswith("#"):
-                    toks = s[1:].split()
-                    if len(toks) == 2 and toks[0] == "g":
-                        header_g = int(toks[1])
+                    if (g := g_header(s)) is not None:
+                        header_g = g
                     continue
                 parts = s.split()
                 if len(parts) != 5:
@@ -307,11 +307,11 @@ def read_forest(source, g: int | None = None) -> SampleForest:
     rows.sort(key=lambda r: r[1])
     if [r[1] for r in rows] != list(range(len(rows))):
         raise ValueError("occurrence ids must be dense 0..N-1")
-    gval = g if g is not None else header_g
-    if gval is None:
-        raise ValueError("category count g not given and not in file header")
+    if header_g is None:
+        raise ValueError("forest file has no '# g N' header")
     arr = np.asarray(rows, dtype=np.int64)
-    return SampleForest(arr[:, 0], arr[:, 3], arr[:, 2], arr[:, 4], arr[:, 5], gval)
+    return SampleForest(arr[:, 0], arr[:, 3], arr[:, 2], arr[:, 4], arr[:, 5],
+                        header_g)
 
 
 def write_truth(forest: SampleForest, target) -> None:

@@ -96,8 +96,12 @@ def test_attribute_map_round_trip(tmp_path):
     a = assign_attributes(50, uniform_distribution(9), seed=8)
     path = tmp_path / "attrs.txt"
     a.write(path)
-    b = AttributeMap.read(path, g=9)
+    assert path.read_text().startswith("# g 9\n0 ")
+    b = AttributeMap.read(path)
     assert (a.values == b.values).all() and b.g == 9
+    path.write_text("0 1\n1 2\n")
+    with pytest.raises(ValueError, match=r"^line 1: expected the '# g N' header$"):
+        AttributeMap.read(path)
 
 
 def test_attribute_map_values_are_read_only():

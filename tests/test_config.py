@@ -122,6 +122,8 @@ def test_validation_rejects_n_t_frac_outside_unit_interval(frac):
     ("k_avg = 30", "k_avg cannot exceed k_max"),
     ("k_max = 400", "k_max must be below n"),
     ("k_avg = 2\nk_max = 100\ntau1 = 1.1", "cannot reach mean degree 2.0"),
+    ("n = 50\nc_min = 30\nc_max = 40",
+     r"no community count k satisfies k\*30 <= 50 <= k\*40"),
 ])
 def test_validation_rejects_bad_sweep_and_sir_values(line, message):
     with pytest.raises(ValueError, match=message):

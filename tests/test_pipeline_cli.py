@@ -4,11 +4,12 @@ import csv
 
 import pytest
 
-from netrecon import epidemic, pipeline
+from netrecon import (epidemic, pipeline, read_forest, reconstruct,
+                      uniform_distribution)
 from netrecon.cli import main
 from netrecon.config import parse_config
 from netrecon.generate import LfrParams, generate_lfr_like
-from netrecon.graph import write_edge_list
+from netrecon.graph import read_partition, write_edge_list
 from netrecon.pipeline import (
     EPIDEMIC_HEADER,
     ERROR_HEADER,
@@ -402,25 +403,70 @@ def test_cli_errors(tmp_path, capsys):
         main(["frobnicate", "--config", bad])
 
 
+def test_cli_stages_refuse_files_of_another_g(tmp_path, capsys):
+    """attributes.txt and forest.txt carry the g they were made with; a
+    stage whose config has another g exits 2, naming the file and both
+    values, whether g changed before sample or before reconstruct."""
+    path = write_cfg(tmp_path, TINY)
+    other = write_cfg(tmp_path, TINY.replace("g = 20", "g = 40"), "other.cfg")
+    out = tmp_path / "stages"
+    assert main(["generate", "--config", path, "--out", str(out)]) == 0
+    assert (out / "attributes.txt").read_text().startswith("# g 20\n")
+    capsys.readouterr()
+    assert main(["sample", "--config", other, "--out", str(out)]) == 2
+    assert "attributes.txt has g = 20, but the config has g = 40" in \
+        capsys.readouterr().err
+    for step in ("sample", "reconstruct"):
+        assert main([step, "--config", path, "--out", str(out)]) == 0
+    for step in ("reconstruct", "communities", "metrics"):
+        assert main([step, "--config", other, "--out", str(out)]) == 2
+        assert "forest.txt has g = 20, but the config has g = 40" in \
+            capsys.readouterr().err
+
+
+def merge_row(i, ev):
+    return (f"{i},{' '.join(map(str, ev.members_a))},"
+            f"{' '.join(map(str, ev.members_b))},{ev.probability!r}")
+
+
 def test_cli_rejects_a_malformed_merge_log(tmp_path, capsys):
-    """A bad merges.csv row ends the metrics and communities commands
-    with an error naming the line, not a traceback."""
+    """A bad merges.csv row, or a log that is not the one provenance.txt
+    records, ends the metrics and communities commands with an error
+    naming the file and the line, not a traceback or wrong scores."""
     path = write_cfg(tmp_path, TINY)
     out = tmp_path / "stages"
     for step in ("generate", "sample", "reconstruct"):
         assert main([step, "--config", path, "--out", str(out)]) == 0
     merges = out / "merges.csv"
-    header = merges.read_text().splitlines()[0]
+    header, *rows = merges.read_text().splitlines()
+    assert rows
+    event, a, b, _ = rows[0].split(",")
+    # a reconstruction of the same forest down to the same size, by
+    # another seed: as many events, but other groups
+    provenance = read_partition(out / "provenance.txt")
+    stale = reconstruct(read_forest(out / "forest.txt"), uniform_distribution(20),
+                        int(provenance.max()) + 1, seed=5).log
+    assert len(stale) == len(rows)
+    split = next(i for i, ev in enumerate(stale)
+                 if len(set(provenance[list(ev.members_a + ev.members_b)])) > 1)
     capsys.readouterr()
-    for row, message in (("0,1 2", "expected 4, got 2"),
-                         ("0,1 x,3,0.5", "invalid literal for int()"),
-                         ("0,1,100000,0.5", "member ids must lie in [0, "),
-                         ("0,,3,0.5", "each side of a merge needs a member")):
-        merges.write_text(f"{header}\n{row}\n")
+    for body, line, message in (
+            (["0,1 2"], 2, "expected 4, got 2"),
+            (["0,1 x,3,0.5"], 2, "invalid literal for int()"),
+            (["0,1,100000,0.5"], 2, "member ids must lie in [0, "),
+            (["0,,3,0.5"], 2, "each side of a merge needs a member"),
+            ([f"{event},{a},{b},0.0", *rows[1:]], 2, "probability 0.0 is outside"),
+            ([merge_row(i, ev) for i, ev in enumerate(stale)], split + 2,
+             "the members lie in different vertices of provenance.txt"),
+            (rows[:-1], len(rows), f"the log ends after {len(rows) - 1} merges"),
+            (rows + rows[-1:], len(rows) + 2,
+             f"provenance.txt records only {len(rows)} merges")):
+        merges.write_text("\n".join([header, *body]) + "\n")
         for step in ("metrics", "communities"):
             assert main([step, "--config", path, "--out", str(out)]) == 2
             err = capsys.readouterr().err
-            assert err.startswith("error: ") and "line 2: " in err and message in err
+            assert err.startswith("error: ") and message in err
+            assert f"merges.csv: line {line}: " in err
 
 
 def test_cli_epidemic_subcommand(tmp_path):

@@ -215,6 +215,8 @@ def test_forest_round_trip(bench, tmp_path):
 def test_read_forest_rejects_garbage():
     with pytest.raises(ValueError):
         read_forest(io.StringIO("not a forest\n"))
+    with pytest.raises(ValueError, match="no '# g N' header"):
+        read_forest(io.StringIO("0 0 R -1 5\n"))
 
 
 FOREST_HEAD = "# g 10\n0 0 R -1 5\n0 1 F 0 4..6\n"
