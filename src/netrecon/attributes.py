@@ -103,14 +103,17 @@ class AttributeMap:
             write_partition(self.values, fh)
 
     @classmethod
-    def read(cls, source, n: int | None = None) -> "AttributeMap":
+    def read(cls, source) -> "AttributeMap":
         """Parse a file written by :meth:`write`; its first line gives g."""
         with open_text(source) as fh:
             lines = fh.readlines()
-        g = g_header(lines[0]) if lines else None
-        if g is None:
-            raise ValueError("line 1: expected the '# g N' header")
-        return cls(read_partition(lines, n=n), g)
+        try:
+            g = g_header(lines[0]) if lines else None
+            if g is None:
+                raise ValueError("expected the '# g N' header")
+        except ValueError as exc:  # int() names the field, not the line
+            raise ValueError(f"line 1: {exc}") from None
+        return cls(read_partition(lines), g)
 
 
 def assign_attributes(n: int, dist: CategoryDistribution, seed: int) -> AttributeMap:

@@ -38,10 +38,9 @@ from .communities import modularity
 from .config import ExperimentConfig, load_config
 from .generate import realized_mixing
 from .graph import Graph, load_edge_list, read_partition, write_edge_list, write_partition
-from .pipeline import (EPIDEMIC_HEADER, METRIC_HEADER, STAGES, _attributes,
-                       _communities, _distribution, _network, _reconstruct,
-                       _sample, _score, _write_csv, epidemic_rows_for_point,
-                       run_pipeline)
+from .pipeline import (STAGES, _attributes, _communities, _distribution,
+                       _network, _reconstruct, _sample, _score,
+                       epidemic_rows_for_point, run_pipeline, write_tables)
 from .reconstruct import MergeEvent, ReconResult
 from .sampling import (SampleForest, coalesced_network, read_forest, read_truth,
                        write_forest, write_truth)
@@ -72,10 +71,13 @@ def _out_path(cfg: ExperimentConfig, name: str) -> str:
     return os.path.join(cfg.out, name)
 
 
-def _warn(errors: list[list[str]]) -> None:
-    """Print the (stage, message) of each pipeline error row."""
-    for err in errors:
+def _write_results(cfg: ExperimentConfig, tables: dict) -> int:
+    """Print the (stage, message) of each error row of ``tables`` as a
+    warning and write the other tables; returns their row count."""
+    for err in tables.pop("errors"):
         print(f"warning: {err[-2]}: {err[-1]}", file=sys.stderr)
+    write_tables(cfg.out, tables)
+    return sum(map(len, tables.values()))
 
 
 def cmd_run(cfg: ExperimentConfig, args) -> int:
@@ -103,24 +105,27 @@ def cmd_generate(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
-def _load_network(cfg: ExperimentConfig) -> Graph:
-    return load_edge_list(os.path.join(cfg.out, "network.edges"))
-
-
-def _read_with_g(read, cfg: ExperimentConfig, name: str, point):
-    """``read`` of the stage file ``name``, whose category count must be
-    the config's."""
+def _read(cfg: ExperimentConfig, name: str, read, *args, g: int | None = None):
+    """``read(path, *args)`` of the stage file ``name``.  An error in the
+    file names it, and so does a category count other than ``g``."""
     path = os.path.join(cfg.out, name)
-    obj = read(path)
-    if obj.g != point.g:
-        raise ValueError(f"{path} has g = {obj.g}, but the config has g = {point.g}")
+    try:
+        obj = read(path, *args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if g is not None and obj.g != g:
+        raise ValueError(f"{path} has g = {obj.g}, but the config has g = {g}")
     return obj
+
+
+def _load_network(cfg: ExperimentConfig) -> Graph:
+    return _read(cfg, "network.edges", load_edge_list)
 
 
 def cmd_sample(cfg: ExperimentConfig, args) -> int:
     point = _single_point(cfg)
     graph = _load_network(cfg)
-    attrs = _read_with_g(AttributeMap.read, cfg, "attributes.txt", point)
+    attrs = _read(cfg, "attributes.txt", AttributeMap.read, g=point.g)
     if attrs.values.size != graph.n:
         raise ValueError(
             f"attributes cover {attrs.values.size} vertices but the edge list "
@@ -136,8 +141,8 @@ def cmd_sample(cfg: ExperimentConfig, args) -> int:
 
 def _load_forest(cfg: ExperimentConfig, point):
     """forest.txt with the truth of truth.txt attached."""
-    forest = _read_with_g(read_forest, cfg, "forest.txt", point)
-    truth = read_truth(os.path.join(cfg.out, "truth.txt"), n_occ=forest.size)
+    forest = _read(cfg, "forest.txt", read_forest, g=point.g)
+    truth = _read(cfg, "truth.txt", read_truth, forest.size)
     return replace(forest, truth=truth)
 
 
@@ -178,9 +183,9 @@ def _read_merges(path, provenance: np.ndarray) -> list[MergeEvent]:
                     raise ValueError(f"provenance.txt records only {merges} merges")
                 log.append(MergeEvent(a, b, prob))
             except ValueError as exc:
-                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
     if len(log) < merges:
-        raise ValueError(f"{path}: line {reader.line_num}: the log ends after "
+        raise ValueError(f"line {reader.line_num}: the log ends after "
                          f"{len(log)} merges; provenance.txt records {merges}")
     return log
 
@@ -191,7 +196,7 @@ def cmd_reconstruct(cfg: ExperimentConfig, args) -> int:
     errors: list[list[str]] = []
     result = _reconstruct(cfg, point, 0, _load_network(cfg).n, forest,
                           _distribution(cfg, point.g), errors)
-    _warn(errors)
+    _write_results(cfg, {"errors": errors})
     write_edge_list(result.graph, _out_path(cfg, "recon.edges"))
     write_partition(result.provenance, _out_path(cfg, "provenance.txt"))
     _write_merges(result.log, _out_path(cfg, "merges.csv"))
@@ -204,9 +209,8 @@ def _load_recon(cfg: ExperimentConfig, forest: SampleForest) -> ReconResult:
     """Rebuild the reconstruction of ``forest`` from provenance.txt and
     merges.csv.  The files do not keep the attempt count, which reads 0.
     """
-    provenance = read_partition(os.path.join(cfg.out, "provenance.txt"),
-                                n=forest.size)
-    log = _read_merges(os.path.join(cfg.out, "merges.csv"), provenance)
+    provenance = _read(cfg, "provenance.txt", read_partition, forest.size)
+    log = _read(cfg, "merges.csv", _read_merges, provenance)
     return ReconResult(coalesced_network(forest, provenance), provenance, log,
                        attempts=0)
 
@@ -219,7 +223,7 @@ def cmd_communities(cfg: ExperimentConfig, args) -> int:
     print(f"network: {labels.max() + 1} communities, "
           f"modularity={modularity(graph, labels):.4f}")
     if os.path.exists(os.path.join(cfg.out, "provenance.txt")):
-        forest = _read_with_g(read_forest, cfg, "forest.txt", point)
+        forest = _read(cfg, "forest.txt", read_forest, g=point.g)
         rgraph = _load_recon(cfg, forest).graph
         rlabels = _communities(cfg, point, 0, rgraph, "recon")
         write_partition(rlabels, _out_path(cfg, "communities_recon.txt"))
@@ -232,22 +236,17 @@ def cmd_metrics(cfg: ExperimentConfig, args) -> int:
     """Score the artifacts in the output directory (single point, rep 0)."""
     point = _single_point(cfg)
     forest = _load_forest(cfg, point)
-    rows_prec, rows_comm, rows_rank, errors = _score(
-        cfg, point, 0, _load_network(cfg), forest, _load_recon(cfg, forest))
-    _write_csv(_out_path(cfg, "precision.csv"), METRIC_HEADER, rows_prec)
-    _write_csv(_out_path(cfg, "community.csv"), METRIC_HEADER, rows_comm)
-    _write_csv(_out_path(cfg, "rank.csv"), METRIC_HEADER, rows_rank)
-    _warn(errors)
-    print(f"wrote {len(rows_prec) + len(rows_comm) + len(rows_rank)} metric rows")
+    count = _write_results(cfg, _score(cfg, point, 0, _load_network(cfg), forest,
+                                       _load_recon(cfg, forest)))
+    print(f"wrote {count} metric rows")
     return 0
 
 
 def cmd_epidemic(cfg: ExperimentConfig, args) -> int:
     point = _single_point(cfg)
-    rows, errors = epidemic_rows_for_point(cfg, point.method, point.n_t_frac)
-    _write_csv(_out_path(cfg, "epidemic.csv"), EPIDEMIC_HEADER, rows)
-    _warn(errors)
-    print(f"wrote {len(rows)} epidemic rows")
+    count = _write_results(cfg, epidemic_rows_for_point(cfg, point.method,
+                                                        point.n_t_frac))
+    print(f"wrote {count} epidemic rows")
     return 0
 
 

@@ -305,18 +305,13 @@ def _match_stubs(stubs: np.ndarray, rng: np.random.Generator,
 
     def bad_mask():
         bad = labels[a] == labels[b]  # same community covers self-pairs
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        seen: dict[tuple[int, int], int] = {}
-        dup = np.zeros(a.size, dtype=bool)
-        for i in range(a.size):
-            if bad[i]:
-                continue
-            key = (int(lo[i]), int(hi[i]))
-            if key in seen:
-                dup[i] = True
-            else:
-                seen[key] = i
-        return bad | dup
+        # a cross pair is a duplicate unless it is the first with its edge
+        cross = np.flatnonzero(~bad)
+        key = np.minimum(a, b)[cross] * labels.size + np.maximum(a, b)[cross]
+        _, first = np.unique(key, return_index=True)
+        bad[cross] = True
+        bad[cross[first]] = False
+        return bad
 
     for _ in range(REPAIR_PASSES):
         bad = bad_mask()

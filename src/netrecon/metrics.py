@@ -145,16 +145,15 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks of ``values``, ties getting the average rank."""
     v = np.asarray(values)
     order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.size, dtype=float)
-    ranks[order] = np.arange(1, v.size + 1)
-    # average within tie groups
     sv = v[order]
-    start = 0
-    for i in range(1, v.size + 1):
-        if i == v.size or sv[i] != sv[start]:
-            if i - start > 1:
-                ranks[order[start:i]] = (start + 1 + i) / 2.0
-            start = i
+    # a tie group starts where the sorted value changes; NaN != NaN, so
+    # each NaN is a group of its own, ranked in input order
+    starts = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1]])
+    counts = np.diff(np.r_[starts, v.size])
+    # a group of c members from sorted position s holds the ranks
+    # s + 1 .. s + c, whose mean is (2s + c + 1) / 2
+    ranks = np.empty(v.size, dtype=float)
+    ranks[order] = np.repeat((2 * starts + counts + 1) / 2, counts)
     return ranks
 
 

@@ -16,12 +16,15 @@ derived from the master seed and parameter *values*, so a rerun of the
 same config writes byte-identical tables, sweep-axis order does not
 matter, and --jobs only changes wall time, never content.
 
-The metric tasks run in groups, one per (mu, repetition): every sweep
-point of a group shares one underlying network, so the group computes
-the network, each attribute map and the underlying partition once, in
-a memo that lives for that group only.  --jobs spreads the groups, not
-the points, over worker processes.  The epidemic tasks and the single
-stage commands run without a memo.
+Each task returns its rows by table name (:data:`TABLES`).  The tasks
+run in groups that share a memo for the group's lifetime.  The metric
+tasks are grouped by (mu, repetition): every sweep point of a group
+shares one underlying network, so the group computes the network, each
+attribute map and the underlying partition once.  Each epidemic point
+is a group of its own.  One worker pool serves every group of a run at
+--jobs > 1, and :func:`write_tables` writes the merged tables, for
+``run`` and the stage commands alike; the stage commands run without a
+memo.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ from .sampling import SampleForest, elicit_friends, sample_paths, true_network
 from .seeding import derive_seed
 
 __all__ = ["run_pipeline", "metric_rows_for_point", "epidemic_rows_for_point",
-           "PARAM_HEADER", "METRIC_HEADER", "EPIDEMIC_HEADER", "ERROR_HEADER"]
+           "write_tables", "TABLES", "STAGES", "PARAM_HEADER", "METRIC_HEADER",
+           "EPIDEMIC_HEADER", "ERROR_HEADER"]
 
 PARAM_HEADER = ["run_id", "network", "method", "assortative", "distribution",
                 "g", "c", "f", "mu", "n_t_rule", "n_t_frac", "rep"]
@@ -56,6 +60,26 @@ METRIC_HEADER = PARAM_HEADER + ["metric", "value", "repetitions"]
 EPIDEMIC_HEADER = PARAM_HEADER + ["strategy", "property", "budget",
                                   "metric", "value", "repetitions"]
 ERROR_HEADER = PARAM_HEADER + ["stage", "error"]
+# Each result table's header, in the order a run writes its rows.
+TABLES = {"precision": METRIC_HEADER, "community": METRIC_HEADER,
+          "rank": METRIC_HEADER, "epidemic": EPIDEMIC_HEADER,
+          "errors": ERROR_HEADER}
+# The tables each ``--stage`` computes and writes.
+STAGES = {"all": tuple(TABLES),
+          "metrics": ("precision", "community", "rank", "errors"),
+          "epidemic": ("epidemic", "errors")}
+
+
+def _tables(stage: str) -> dict[str, list[list[str]]]:
+    """Empty rows of each table of ``stage``."""
+    return {name: [] for name in STAGES[stage]}
+
+
+def _merge(tables: dict, more: dict) -> dict:
+    """Append the rows of ``more`` to ``tables``, table by table."""
+    for name, rows in more.items():
+        tables[name].extend(rows)
+    return tables
 
 
 def _fmt(x) -> str:
@@ -188,28 +212,27 @@ def _reconstruct(cfg: ExperimentConfig, point: SweepPoint, rep, n: int,
 
 def _score(cfg: ExperimentConfig, point: SweepPoint, rep, graph: Graph,
            forest: SampleForest, result: ReconResult,
-           memo: dict | None = None):
-    """Precision, community and rank rows of one reconstruction.
+           memo: dict | None = None) -> dict[str, list]:
+    """Precision, community and rank rows of one reconstruction, by table.
 
     ``graph`` is the underlying network and ``forest`` carries its truth.
-    Returns (precision, community, rank, error) rows.  A metric that
-    fails is recorded as an error row; the rank rows need the community
-    labels, so a community failure skips them.
+    A metric that fails is recorded as an error row; the rank rows need
+    the community labels, so a community failure skips them.
     """
-    rows_prec: list[list[str]] = []
-    rows_comm: list[list[str]] = []
-    rows_rank: list[list[str]] = []
-    errors: list[list[str]] = []
+    tables = _tables("metrics")
     cells = _param_cells(cfg, point, rep)
 
-    def metric_row(metric: str, value: float) -> list[str]:
-        return cells + [metric, _fmt(float(value)), "1"]
+    def add(table: str, metric: str, value: float) -> None:
+        tables[table].append(cells + [metric, _fmt(float(value)), "1"])
+
+    def fail(stage: str, exc: Exception) -> None:
+        tables["errors"].append(cells + [stage, str(exc)])
 
     try:
-        rows_prec.append(metric_row("coalescing_precision",
-                                    coalescing_precision(result.log, forest.truth)))
+        add("precision", "coalescing_precision",
+            coalescing_precision(result.log, forest.truth))
     except Exception as exc:
-        errors.append(cells + ["precision", str(exc)])
+        fail("precision", exc)
 
     try:
         tnet, _ = true_network(forest)
@@ -217,14 +240,12 @@ def _score(cfg: ExperimentConfig, point: SweepPoint, rep, graph: Graph,
         recon_labels = _communities(cfg, point, rep, result.graph, "recon")
         tnet_labels = _communities(cfg, point, rep, tnet, "true")
         proj_dense = np.searchsorted(tnet.labels, proj)
-        rows_comm.append(metric_row(
-            "community_precision",
-            community_precision(recon_labels, tnet_labels, proj_dense)))
-        rows_comm.append(metric_row(
-            "nmi", nmi(recon_labels, tnet_labels[proj_dense])))
+        add("community", "community_precision",
+            community_precision(recon_labels, tnet_labels, proj_dense))
+        add("community", "nmi", nmi(recon_labels, tnet_labels[proj_dense]))
     except Exception as exc:
-        errors.append(cells + ["community", str(exc)])
-        return rows_prec, rows_comm, rows_rank, errors
+        fail("community", exc)
+        return tables
 
     def underlying() -> tuple:
         props = vertex_properties(
@@ -242,37 +263,34 @@ def _score(cfg: ExperimentConfig, point: SweepPoint, rep, graph: Graph,
                                    ("embeddedness", u_emb, r_emb)):
             try:
                 ids, means = aggregate_by_projection(rvals, proj)
-                rows_rank.append(metric_row(
-                    f"spearman_{name}", spearman(uvals[ids], means)))
+                add("rank", f"spearman_{name}", spearman(uvals[ids], means))
             except Exception as exc:
-                errors.append(cells + [f"rank:{name}", str(exc)])
+                fail(f"rank:{name}", exc)
     except Exception as exc:
-        errors.append(cells + ["rank", str(exc)])
-    return rows_prec, rows_comm, rows_rank, errors
+        fail("rank", exc)
+    return tables
 
 
 def metric_rows_for_point(cfg: ExperimentConfig, point: SweepPoint, rep: int,
-                          memo: dict | None = None):
-    """Compute one repetition's precision/community/rank rows.
+                          memo: dict | None = None) -> dict[str, list]:
+    """One repetition's precision/community/rank/error rows, by table.
 
     ``memo``, shared by the points of one (mu, rep) group, keeps the
     network, the attribute maps and the underlying vertex properties
     between them; each is keyed on the values its seed uses, so the
     rows are the same with or without it.
     """
-    errors: list[list[str]] = []
-    cells = _param_cells(cfg, point, rep)
+    tables = _tables("metrics")
     try:
         graph, _ = _network(cfg, point, rep, memo)
         attrs, dist = _attributes(cfg, point, rep, graph, memo)
         forest = _sample(cfg, point, rep, graph, attrs)
-        result = _reconstruct(cfg, point, rep, graph.n, forest, dist, errors)
+        result = _reconstruct(cfg, point, rep, graph.n, forest, dist,
+                              tables["errors"])
     except Exception as exc:  # config-level/feasibility failures
-        errors.append(cells + ["setup", str(exc)])
-        return [], [], [], errors
-    rows_prec, rows_comm, rows_rank, score_errors = _score(
-        cfg, point, rep, graph, forest, result, memo)
-    return rows_prec, rows_comm, rows_rank, errors + score_errors
+        tables["errors"].append(_param_cells(cfg, point, rep) + ["setup", str(exc)])
+        return tables
+    return _merge(tables, _score(cfg, point, rep, graph, forest, result, memo))
 
 
 def _pinned_point(cfg: ExperimentConfig, method: str,
@@ -285,24 +303,26 @@ def _pinned_point(cfg: ExperimentConfig, method: str,
 
 
 def epidemic_rows_for_point(cfg: ExperimentConfig, method: str,
-                            n_t_frac: float | None, rep: int = 0):
-    """Build a reconstruction ensemble and score every strategy/budget.
+                            n_t_frac: float | None,
+                            memo: dict | None = None) -> dict[str, list]:
+    """Build a reconstruction ensemble and score every strategy/budget;
+    returns the epidemic and error rows, by table.
 
     Each strategy ranks the vertices once, at its first positive budget;
     a budget immunizes the first ``max(1, round(budget * n))`` of its
     order (none at budget 0, which ranks nothing).
     """
-    rows: list[list[str]] = []
-    errors: list[list[str]] = []
+    tables = _tables("epidemic")
+    rows, errors = tables["epidemic"], tables["errors"]
     point = _pinned_point(cfg, method, n_t_frac)
-    cells = _param_cells(cfg, point, rep)
+    cells = _param_cells(cfg, point, 0)
     try:
-        graph, _ = _network(cfg, point, rep)
-        attrs, dist = _attributes(cfg, point, rep, graph)
+        graph, _ = _network(cfg, point, 0, memo)
+        attrs, dist = _attributes(cfg, point, 0, graph, memo)
         ensemble: list[Graph] = []
         projections: list[np.ndarray] = []
         for i in range(cfg.ensemble):
-            irep = f"{rep}.{i}"
+            irep = f"0.{i}"
             forest = _sample(cfg, point, irep, graph, attrs)
             result = _reconstruct(cfg, point, irep, graph.n, forest, dist,
                                   errors)
@@ -310,7 +330,7 @@ def epidemic_rows_for_point(cfg: ExperimentConfig, method: str,
             projections.append(project(result.provenance, forest))
     except Exception as exc:
         errors.append(cells + ["epidemic-setup", str(exc)])
-        return rows, errors
+        return tables
 
     sir = cfg.sir_params()
     for token in cfg.strategies:
@@ -326,7 +346,7 @@ def epidemic_rows_for_point(cfg: ExperimentConfig, method: str,
                 if count:
                     if order is None:
                         order = immunization_order(graph, spec,
-                                                   derive_seed(*key, rep),
+                                                   derive_seed(*key, 0),
                                                    ensemble, projections)
                     if count > order.size:
                         raise ValueError(f"budget {count} exceeds the "
@@ -334,7 +354,7 @@ def epidemic_rows_for_point(cfg: ExperimentConfig, method: str,
                                          "strategy ranks")
                     chosen = order[:count]
                 out = evaluate_strategy(graph, chosen, sir, cfg.sir_runs,
-                                        derive_seed(*key, repr(budget), rep))
+                                        derive_seed(*key, repr(budget), 0))
             except Exception as exc:
                 errors.append(cells + [f"epidemic:{token}", str(exc)])
                 continue
@@ -343,35 +363,24 @@ def epidemic_rows_for_point(cfg: ExperimentConfig, method: str,
                                 str(out.runs)])
             rows.append(base + ["epidemic_size_std", _fmt(out.std),
                                 str(out.runs)])
-    return rows, errors
+    return tables
 
 
 # -- top-level driver ------------------------------------------------------
 
 
-def _metric_group_task(args):
-    """The rows of the (point, rep) tasks of one (mu, rep) group, in order.
+def _group_task(args):
+    """The tables of one group's tasks, in order; the tasks share one memo.
 
-    The memo is passed by keyword, so a wrapper installed on the module
-    global sees the same positional (cfg, point, rep) as an unmemoized
-    call.
+    Each task function is looked up as a module global at call time and
+    gets the memo by keyword, so a wrapper installed on the global sees
+    the same positional arguments as an unmemoized call.
     """
     cfg, tasks = args
     memo: dict = {}
-    return [metric_rows_for_point(cfg, point, rep, memo=memo)
-            for point, rep in tasks]
-
-
-def _epidemic_task(args):
-    cfg, method, nt = args
-    return epidemic_rows_for_point(cfg, method, nt)
-
-
-def _write_csv(path, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
+    return [(epidemic_rows_for_point if epidemic else metric_rows_for_point)(
+                cfg, *point_args, memo=memo)
+            for epidemic, point_args in tasks]
 
 
 def _map_tasks(fn, tasks: list, jobs: int) -> list:
@@ -382,65 +391,51 @@ def _map_tasks(fn, tasks: list, jobs: int) -> list:
     return [fn(t) for t in tasks]
 
 
-STAGES = ("all", "metrics", "epidemic")
+def write_tables(out: str, tables: dict[str, list[list[str]]]) -> dict[str, str]:
+    """Write each table as ``<out>/<name>.csv`` under its header; returns
+    a name -> path map of the written files."""
+    os.makedirs(out, exist_ok=True)
+    written = {}
+    for name, rows in tables.items():
+        written[name] = os.path.join(out, f"{name}.csv")
+        with open(written[name], "w", encoding="utf-8", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(TABLES[name])
+            w.writerows(rows)
+    return written
 
 
 def run_pipeline(cfg: ExperimentConfig, jobs: int = 1,
                  stage: str = "all") -> dict[str, str]:
-    """Run the sweep and write the result tables under ``cfg.out``.
+    """Run the sweep and write the tables of ``stage`` under ``cfg.out``.
 
     ``stage`` limits the work: "metrics" (the three per-run tables),
-    "epidemic", or "all".  Returns a name -> path map of written files.
+    "epidemic", or "all" (see :data:`STAGES`).  Returns a name -> path
+    map of the written files.
     """
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}")
     cfg.validate()
-    os.makedirs(cfg.out, exist_ok=True)
-    rows_prec: list[list[str]] = []
-    rows_comm: list[list[str]] = []
-    rows_rank: list[list[str]] = []
-    rows_epi: list[list[str]] = []
-    errors: list[list[str]] = []
-
-    written: dict[str, str] = {}
-    if stage in ("all", "metrics"):
-        tasks = [(point, rep)
-                 for point in cfg.points()
-                 for rep in range(cfg.repetitions)]
-        groups: dict[tuple, list[int]] = {}
-        for i, (point, rep) in enumerate(tasks):
-            groups.setdefault((point.mu, rep), []).append(i)
-        results: list = [None] * len(tasks)
-        group_rows = _map_tasks(
-            _metric_group_task,
-            [(cfg, [tasks[i] for i in idx]) for idx in groups.values()], jobs)
-        for idx, rows in zip(groups.values(), group_rows):
-            for i, r in zip(idx, rows):
-                results[i] = r
-        for rp, rc, rr, errs in results:
-            rows_prec.extend(rp)
-            rows_comm.extend(rc)
-            rows_rank.extend(rr)
-            errors.extend(errs)
-        for name, rows in (("precision", rows_prec), ("community", rows_comm),
-                           ("rank", rows_rank)):
-            path = os.path.join(cfg.out, f"{name}.csv")
-            _write_csv(path, METRIC_HEADER, rows)
-            written[name] = path
-
-    if stage in ("all", "epidemic"):
-        epi_tasks = []
-        if cfg.epidemic:
-            epi_tasks = [(cfg, m, nt) for m in cfg.method
-                         for nt in cfg.n_t_frac_axis()]
-        for rows, errs in _map_tasks(_epidemic_task, epi_tasks, jobs):
-            rows_epi.extend(rows)
-            errors.extend(errs)
-        path = os.path.join(cfg.out, "epidemic.csv")
-        _write_csv(path, EPIDEMIC_HEADER, rows_epi)
-        written["epidemic"] = path
-
-    epath = os.path.join(cfg.out, "errors.csv")
-    _write_csv(epath, ERROR_HEADER, errors)
-    written["errors"] = epath
-    return written
+    os.makedirs(cfg.out, exist_ok=True)  # an unusable out fails before the sweep
+    # (group, epidemic?, arguments after cfg) of every task, in table order
+    tasks = []
+    if "precision" in STAGES[stage]:
+        tasks += [(("metrics", point.mu, rep), False, (point, rep))
+                  for point in cfg.points() for rep in range(cfg.repetitions)]
+    if "epidemic" in STAGES[stage] and cfg.epidemic:
+        tasks += [(("epidemic", m, nt), True, (m, nt))
+                  for m in cfg.method for nt in cfg.n_t_frac_axis()]
+    groups: dict[tuple, list[int]] = {}
+    for i, (group, _, _) in enumerate(tasks):
+        groups.setdefault(group, []).append(i)
+    results: list = [None] * len(tasks)
+    group_tables = _map_tasks(
+        _group_task,
+        [(cfg, [tasks[i][1:] for i in idx]) for idx in groups.values()], jobs)
+    for idx, task_tables in zip(groups.values(), group_tables):
+        for i, t in zip(idx, task_tables):
+            results[i] = t
+    tables = _tables(stage)
+    for t in results:
+        _merge(tables, t)
+    return write_tables(cfg.out, tables)

@@ -10,6 +10,7 @@ package, in the plainest form of the process.  They come in two kinds.
 Stream oracles (:func:`assign_communities_reference`,
 :func:`make_assortative_reference`,
 :func:`make_assortative_scalar_reference`,
+:func:`match_stubs_reference`,
 :func:`greedy_modularity_reference`)
 draw the very same random numbers in the same order as the package, so a
 faster rewrite must give the very same result and leave the generator in
@@ -510,6 +511,45 @@ def randomize_edges_reference(edges, rng, rounds=10):
         edge_set.add(e2)
         edges[i], edges[j] = e1, e2
     return edges
+
+
+def match_stubs_reference(stubs, rng, labels, passes):
+    """The generator's former stub matching, with a loop over the pairs
+    to find duplicates; returns the kept edges as (lo, hi) tuples.
+
+    The stubs are shuffled and paired in order.  For up to ``passes``
+    rounds, each bad pair (both stubs in one community, or the same
+    edge as an earlier cross-community pair) swaps its second stub with
+    that of a random pair.  Pairs still bad after that are dropped.
+    """
+    stubs = stubs.copy()
+    rng.shuffle(stubs)
+    stubs = stubs.tolist()
+    if len(stubs) % 2 == 1:
+        stubs.pop()
+    a, b = stubs[0::2], stubs[1::2]
+
+    def bad_pairs():
+        seen = set()
+        bad = []
+        for i, (u, v) in enumerate(zip(a, b)):
+            edge = (min(u, v), max(u, v))
+            if labels[u] == labels[v] or edge in seen:
+                bad.append(i)
+            else:
+                seen.add(edge)
+        return bad
+
+    for _ in range(passes):
+        bad = bad_pairs()
+        if not bad:
+            break
+        partners = rng.integers(0, len(a), size=len(bad)).tolist()
+        for i, j in zip(bad, partners):
+            b[i], b[j] = b[j], b[i]
+    bad = set(bad_pairs())
+    return [(min(u, v), max(u, v))
+            for i, (u, v) in enumerate(zip(a, b)) if i not in bad]
 
 
 def sir_reference(indptr, indices, immunized, init_frac, beta,

@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2_contingency
 
 from netrecon import LfrParams, generate_lfr_like, realized_mixing
-from netrecon.generate import SWAP_ROUNDS, _assign_communities, _randomize_edges
-from oracles import assign_communities_reference, randomize_edges_reference
+from netrecon.generate import (REPAIR_PASSES, SWAP_ROUNDS, _assign_communities,
+                                _match_stubs, _randomize_edges)
+from oracles import (assign_communities_reference, match_stubs_reference,
+                     randomize_edges_reference)
 
 PARAMS = LfrParams(n=400, k_avg=8, k_max=25, mu=0.2, tau1=2.5, tau2=1.0,
                    c_min=10, c_max=40, seed=0)
@@ -204,4 +206,20 @@ def test_assign_communities_keeps_the_choice_stream(seed):
     labels = _assign_communities(degrees, sizes, 0.1, rng)
     expected = assign_communities_reference(degrees, sizes, 0.1, ref_rng)
     assert labels.tolist() == expected
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("communities", [1, 2, 5])
+def test_match_stubs_keeps_the_pair_loop(seed, communities):
+    """Finding duplicates with one np.unique keeps the edges and the
+    generator state of the former loop over the pairs, whether the
+    repairs finish early or run out of passes (one community)."""
+    draw = np.random.default_rng(2000 + seed)
+    n = int(draw.integers(2, 40))
+    labels = draw.integers(0, communities, size=n)
+    stubs = np.repeat(np.arange(n), draw.integers(0, 6, size=n))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    edges = _match_stubs(stubs, rng, labels=labels)
+    assert edges == match_stubs_reference(stubs, ref_rng, labels, REPAIR_PASSES)
     assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -187,10 +187,14 @@ def test_nmi_validation():
 def test_average_ranks():
     values = np.array([10.0, 20.0, 20.0, 5.0])
     assert list(average_ranks(values)) == [2.0, 3.5, 3.5, 1.0]
+    # -0.0 ties with 0.0; each NaN ranks alone, last, in input order
+    nan = float("nan")
+    assert average_ranks(np.array([0.0, nan, -0.0, 2.0, nan])).tolist() == \
+        [1.5, 4.0, 1.5, 3.0, 5.0]
     rng = np.random.default_rng(3)
     for _ in range(50):
         v = rng.integers(0, 6, size=int(rng.integers(2, 25))).astype(float)
-        assert np.allclose(average_ranks(v), ranks_reference(v))
+        assert average_ranks(v).tolist() == ranks_reference(v)
         assert np.allclose(average_ranks(v), stats.rankdata(v))
 
 

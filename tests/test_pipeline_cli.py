@@ -14,6 +14,7 @@ from netrecon.pipeline import (
     EPIDEMIC_HEADER,
     ERROR_HEADER,
     METRIC_HEADER,
+    STAGES,
     metric_rows_for_point,
     run_id_for,
     run_pipeline,
@@ -95,6 +96,28 @@ def test_pipeline_jobs_do_not_change_output(tmp_path):
     for name in serial:
         assert (open(serial[name], "rb").read()
                 == open(parallel[name], "rb").read()), name
+
+
+def test_one_pool_serves_both_stages(tmp_path, monkeypatch):
+    """A stage=all run maps every task group, metric and epidemic, in one
+    _map_tasks call: one worker pool under --jobs."""
+    calls = []
+    monkeypatch.setattr(pipeline, "_map_tasks",
+                        counting(calls, pipeline._map_tasks))
+    cfg, _ = run_tiny(tmp_path, EPI, "pool", jobs=2)
+    assert len(calls) == 1
+    (_, groups, jobs), _ = calls[0]
+    assert jobs == 2
+    assert len(groups) == (cfg.repetitions
+                           + len(cfg.method) * len(cfg.n_t_frac_axis()))
+
+
+@pytest.mark.parametrize("stage", sorted(STAGES))
+def test_each_stage_writes_its_tables(tmp_path, stage):
+    cfg, written = run_tiny(tmp_path, EPI, stage, stage=stage)
+    assert set(written) == set(STAGES[stage])
+    assert sorted(p.name for p in (tmp_path / stage).iterdir()) == sorted(
+        f"{name}.csv" for name in STAGES[stage])
 
 
 def test_pipeline_epidemic_stage(tmp_path):
@@ -234,7 +257,7 @@ def unmemoized_tables(cfg):
     tables = {name: [] for name in TABLES}
     for point in cfg.points():
         for rep in range(cfg.repetitions):
-            for name, rows in zip(TABLES, metric_rows_for_point(cfg, point, rep)):
+            for name, rows in metric_rows_for_point(cfg, point, rep).items():
                 tables[name].extend(rows)
     return tables
 
@@ -422,6 +445,41 @@ def test_cli_stages_refuse_files_of_another_g(tmp_path, capsys):
         assert main([step, "--config", other, "--out", str(out)]) == 2
         assert "forest.txt has g = 20, but the config has g = 40" in \
             capsys.readouterr().err
+
+
+def set_field(i, value):
+    """A line edit that sets the i-th whitespace-separated field."""
+    def edit(line):
+        fields = line.split()
+        fields[i] = value
+        return " ".join(fields)
+    return edit
+
+
+@pytest.mark.parametrize("name, step, line, edit, message", [
+    ("network.edges", "sample", 5, lambda s: s + " 7",
+     "expected two vertex labels, got 3"),
+    ("attributes.txt", "sample", 1, lambda s: "# g ten",
+     "invalid literal for int() with base 10: 'ten'"),
+    ("forest.txt", "reconstruct", 3, set_field(2, "Q"), "unknown kind 'Q'"),
+    ("truth.txt", "reconstruct", 4, set_field(1, "x"),
+     "non-integer vertex or value"),
+], ids=["network", "attributes-header", "forest", "truth"])
+def test_cli_stage_file_errors_name_the_file(tmp_path, capsys, name, step,
+                                             line, edit, message):
+    """A malformed line in a stage file ends the command with exit 2 and
+    an error naming the file and the line."""
+    path = write_cfg(tmp_path, TINY)
+    out = tmp_path / "stages"
+    for s in ("generate", "sample"):
+        assert main([s, "--config", path, "--out", str(out)]) == 0
+    lines = (out / name).read_text().splitlines()
+    lines[line - 1] = edit(lines[line - 1])
+    (out / name).write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main([step, "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {out / name}: line {line}: {message}\n"
 
 
 def merge_row(i, ev):
