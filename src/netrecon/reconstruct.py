@@ -25,15 +25,25 @@ The coalescing process is: draw a candidate pair (alive, overlapping
 payloads, not respondent-respondent) uniformly, merge it with its
 probability p, and draw again on rejection.  A rejected draw changes
 nothing, so each merge falls on a pair with probability p / Σp, and the
-number of draws it takes is Geometric(Σp / |candidates|).  The sampler
-draws both directly from the pair probabilities, a group ∝ its row sum
-and then its partner ∝ its row, so no time goes into rejected draws.
+number of draws it takes is Geometric(Σp / |candidates|).
+
+The sampler draws both directly.  A pair's probability depends only on
+the payload types (kind, lo, hi) of its two groups, unless one of the
+adjacency rules above bans the pair, which makes it 0.  So the state
+keeps one probability p_k per candidate type pair k, the number of alive
+groups of each type, and the number banned_k of member pairs of k that
+a rule bans.  The draw by type pair picks k ∝ p_k (pairs_k − banned_k),
+where pairs_k counts the member pairs of k.  The draw within the type
+pair then picks a uniform member of each of its two types, and draws
+both again while they are one group or banned; every unbanned member
+pair of k is equally likely, so each pair falls with p / Σp.  The run
+stalls when no type pair with p_k > 0 has an unbanned member pair left,
+which the integer counts decide exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -93,19 +103,20 @@ class ReconState:
     """Mutable state of a coalescing run.
 
     Groups are indexed by the occurrence id of their first member; dead
-    group slots stay in the arrays but are flagged.  :meth:`row` gives
-    the candidates of a group (alive, payload intervals overlapping, not
-    respondent-respondent) with their merge probabilities.  A merge only
-    narrows payloads, so group i's candidates are always among the
-    initial candidates of occurrence i, listed once per payload type.
-
-    ``n_pairs`` counts the candidate pairs, ``w_sum`` holds the row sums
-    and ``w_pos`` the number of positive weights in each row: a row whose
-    count is zero has no weight left, whatever rounding left in its sum.
+    group slots stay in the lists but are flagged.  Each group has a
+    payload type (kind, lo, hi), numbered in ``types``; ``type_of[g]``
+    is group g's, ``of_type[t]`` lists the alive groups of type t in the
+    order they took it, and ``count[t]`` is their number.  Type pair k
+    joins the types ``ta[k] <= tb[k]``, whose payloads overlap and are
+    not both a respondent's; it has the merge probability ``prob[k]``
+    and ``banned[k]`` member pairs that a rule bans.  ``ban[g]`` holds
+    the groups that a rule keeps apart from g and whose payloads overlap
+    g's; payloads only narrow, so a pair never overlaps again once it
+    stops.
 
     Friends are only ever adjacent to respondents, so a merge changes no
     adjacency or shared respondent between two other groups: only the
-    rows of the two merged groups and their entries in other rows change.
+    bans of the two merged groups change.
     """
 
     def __init__(self, forest: SampleForest, dist: CategoryDistribution, n_t: int):
@@ -116,9 +127,9 @@ class ReconState:
         if (forest.kind[forest.parent[child]] != RESPONDENT).any():
             raise ValueError("every occurrence must be named by a respondent")
         self.n_t = int(n_t)
-        self.kind = forest.kind.copy()
-        self.lo = forest.lo.copy()
-        self.hi = forest.hi.copy()
+        self.kind = forest.kind.tolist()
+        self.lo = forest.lo.tolist()
+        self.hi = forest.hi.tolist()
         self.alive = np.ones(n, dtype=bool)
         self.n_alive = n
         self.members: list[list[int]] = [[i] for i in range(n)]
@@ -128,95 +139,118 @@ class ReconState:
             self.adj[c].add(p)
         # cumulative masses for O(1) interval probabilities; length g+1
         self._cum = np.concatenate([[0.0], np.cumsum(dist.p, dtype=float)])
-        self._resp = self.kind == RESPONDENT
-        self._friend = (self.kind == FRIEND).tolist()  # for Python loops
-        self._mass = self._slot_mass(np.arange(n))
-        self._cands, self.w_sum, self.w_pos = self._initial_rows()
-        self.n_pairs = (sum(c.size for c in self._cands) - sum(self._friend)) // 2
-        self._rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # since the last merge
+        self.types: dict[tuple[int, int, int], int] = {}
+        self.of_type: list[list[int]] = []
+        self._keys = np.zeros((0, 3), dtype=np.int64)  # the types' (kind, lo, hi)
+        self.count = np.zeros(0, dtype=np.int64)
+        self.ta = np.zeros(0, dtype=np.int64)
+        self.tb = np.zeros(0, dtype=np.int64)
+        self.prob = np.zeros(0)
+        self.banned = np.zeros(0, dtype=np.int64)
+        self._pair: dict[tuple[int, int], int] = {}
+        self.type_of = [self._enter(g) for g in range(n)]
+        self.ban: list[set[int]] = [set() for _ in range(n)]
+        for g in range(n):
+            for h in self._rules(g):
+                if g < h:
+                    self._add_ban(g, h)
+
+    def member_pairs(self) -> np.ndarray:
+        """The alive member pairs of each type pair."""
+        a, b = self.count[self.ta], self.count[self.tb]
+        return np.where(self.ta == self.tb, a * (a - 1) // 2, a * b)
+
+    @property
+    def n_pairs(self) -> int:
+        """The number of candidate pairs, banned ones included."""
+        return int(self.member_pairs().sum())
 
     @property
     def pairs(self) -> np.ndarray:
         """The candidate pairs (i < j) as rows of an (m, 2) array."""
-        return np.array([(i, j) for i in np.flatnonzero(self.alive)
-                         for j in self.row(i)[0] if i < j]).reshape(-1, 2)
+        out = [(min(x, y), max(x, y))
+               for t, u in zip(self.ta.tolist(), self.tb.tolist())
+               for x in self.of_type[t] for y in self.of_type[u] if t != u or x < y]
+        return np.array(sorted(out), dtype=np.int64).reshape(-1, 2)
 
-    # -- probabilities ---------------------------------------------------
+    def pair_probability(self, a: int, b: int) -> float | None:
+        """The merge probability of groups a and b: their type pair's, or
+        0 when a rule bans the pair; None when they are no candidate pair."""
+        if a == b or not (self.alive[a] and self.alive[b]):
+            return None
+        k = self._pair_of(a, b)
+        if k is None:
+            return None
+        return 0.0 if b in self.ban[a] else float(self.prob[k])
 
-    def _forbidden(self, i: int) -> list[int]:
-        """Groups i may not merge with: itself, its neighbors and, for a
-        friend, the friends of its respondents."""
-        out = [i, *self.adj[i]]
-        if self._friend[i]:
-            out += [x for x in chain.from_iterable(self.adj[r] for r in self.adj[i])
-                    if self._friend[x]]
-        return out
+    # -- types and bans --------------------------------------------------
 
-    def _slot_mass(self, i):
-        """Pr of the descriptions of groups i; 1 for a respondent, whose
-        pairs take their mass from the friend's side."""
-        cum = self._cum
-        return np.where(self._resp[i], 1.0,
-                        np.maximum(cum[self.hi[i]] - cum[self.lo[i] - 1], 0.0))
+    def _pair_of(self, a: int, b: int) -> int | None:
+        t, u = self.type_of[a], self.type_of[b]
+        return self._pair.get((t, u) if t <= u else (u, t))
 
-    def _weights(self, i, j) -> np.ndarray:
-        """Merge probabilities of the candidate pairs (i, j) before the
-        adjacency rules of :meth:`_forbidden`: 1 / (n_t Pr(d_f)) for a
-        respondent and a friend, Pr(d_u ∩ d_v) / (n_t Pr(d_u) Pr(d_v))
-        for two friends."""
-        lo, hi, cum, mass = self.lo, self.hi, self._cum, self._mass
-        num = np.maximum(cum[np.minimum(hi[i], hi[j])]
-                         - cum[np.maximum(lo[i], lo[j]) - 1], 0.0)
-        num[self._resp[i] | self._resp[j]] = 1.0
-        den = self.n_t * (mass[i] * mass[j])
-        p = np.zeros(den.shape)
-        np.divide(num, den, out=p, where=den > 0)
-        return np.minimum(p, 1.0, out=p)
+    def _enter(self, g: int) -> int:
+        """List group g under its payload type, adding the type when it is
+        new; returns the type."""
+        key = (self.kind[g], self.lo[g], self.hi[g])
+        if key not in self.types:
+            self._add_type(key)
+        t = self.types[key]
+        self.of_type[t].append(g)
+        self.count[t] += 1
+        return t
 
-    def _allowed(self, i: int, ids: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """The weights w of the pairs (i, ids), zeroed in place where
-        :meth:`_forbidden` bans the merge."""
-        ban = np.zeros(self.kind.size, dtype=bool)
-        ban[self._forbidden(i)] = True
-        w[ban[ids]] = 0.0
-        return w
-
-    def _initial_rows(self):
-        """Each occurrence's initial candidates, ascending, with the sum
-        and positive count of their weights.  The members of a payload
-        type (kind, lo, hi) share one list; a friend's includes itself."""
-        n = self.kind.size
-        types, of_type = np.unique(np.stack([self.kind, self.lo, self.hi], axis=1),
-                                   axis=0, return_inverse=True)
-        of_type = of_type.ravel()  # 1-D on every numpy 2 release
-        kind, lo, hi = types.T
+    def _add_type(self, key: tuple[int, int, int]) -> None:
+        """Number a new payload type and give each type pair it forms its
+        merge probability: 1 / (n_t Pr(d_f)) with a respondent type, and
+        Pr(d_u ∩ d_v) / (n_t Pr(d_u) Pr(d_v)) between two friend types."""
+        t = len(self.types)
+        self.types[key] = t
+        self.of_type.append([])
+        self.count = np.append(self.count, 0)
+        self._keys = np.append(self._keys, [key], axis=0)
+        kind, lo, hi = self._keys.T
         resp = kind == RESPONDENT
-        shared: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        cands: list[np.ndarray] = []
-        w_sum = np.zeros(n)
-        w_pos = np.zeros(n, dtype=np.int64)
-        for i, t in enumerate(of_type.tolist()):
-            if t not in shared:  # i is the type's first member
-                near = (lo <= hi[t]) & (hi >= lo[t]) & ~(resp[t] & resp)
-                ids = np.flatnonzero(near[of_type])
-                shared[t] = ids, self._weights(i, ids)
-            ids, w = shared[t]
-            cands.append(ids)
-            w = self._allowed(i, ids, w.copy())
-            # in order, as np.bincount did: its rounding fixes the draws
-            w_sum[i] = np.cumsum(w)[-1] if w.size else 0.0
-            w_pos[i] = np.count_nonzero(w)
-        return cands, w_sum, w_pos
+        cum = self._cum
+        mass = np.where(resp, 1.0, np.maximum(cum[hi] - cum[lo - 1], 0.0))
+        near = np.flatnonzero((lo <= hi[t]) & (hi >= lo[t]) & ~(resp & resp[t]))
+        num = np.maximum(cum[np.minimum(hi[near], hi[t])]
+                         - cum[np.maximum(lo[near], lo[t]) - 1], 0.0)
+        num[resp[near] | resp[t]] = 1.0
+        den = self.n_t * (mass[near] * mass[t])
+        p = np.zeros(near.size)
+        np.divide(num, den, out=p, where=den > 0)
+        self._pair.update(((u, t), self.prob.size + i) for i, u in enumerate(near.tolist()))
+        self.ta = np.append(self.ta, near)
+        self.tb = np.append(self.tb, np.full(near.size, t))
+        self.prob = np.append(self.prob, np.minimum(p, 1.0))
+        self.banned = np.append(self.banned, np.zeros(near.size, dtype=np.int64))
 
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Group i's candidates, ascending, and their merge probabilities;
-        the arrays are shared with later calls until the next merge."""
-        if i not in self._rows:
-            ids = self._cands[i]
-            ids = ids[self.alive[ids] & (ids != i) & (self.lo[ids] <= self.hi[i])
-                      & (self.hi[ids] >= self.lo[i])]
-            self._rows[i] = ids, self._allowed(i, ids, self._weights(i, ids))
-        return self._rows[i]
+    def _rules(self, g: int) -> list[int]:
+        """The groups whose payloads overlap g's that a rule keeps apart
+        from g: its neighbors and, for a friend, its respondents' friends."""
+        near = set(self.adj[g])
+        if self.kind[g] == FRIEND:
+            near.update(x for r in self.adj[g] for x in self.adj[r]
+                        if self.kind[x] == FRIEND and x != g)
+        lo, hi, resp = self.lo[g], self.hi[g], self.kind[g] == RESPONDENT
+        return [h for h in near if self.lo[h] <= hi and self.hi[h] >= lo
+                and not (resp and self.kind[h] == RESPONDENT)]
+
+    def _add_ban(self, g: int, h: int) -> None:
+        self.ban[g].add(h)
+        self.ban[h].add(g)
+        self.banned[self._pair_of(g, h)] += 1
+
+    def _leave(self, g: int) -> None:
+        """Take group g out of its type's list and out of every ban."""
+        t = self.type_of[g]
+        self.of_type[t].remove(g)
+        self.count[t] -= 1
+        for h in self.ban[g]:
+            self.ban[h].discard(g)
+            self.banned[self._pair_of(g, h)] -= 1
+        self.ban[g] = set()
 
     # -- merging ---------------------------------------------------------
 
@@ -225,25 +259,25 @@ class ReconState:
 
         A respondent group always survives and keeps its exact category;
         two friend groups collapse onto the smaller id with the interval
-        intersection as payload.
+        intersection as payload.  Refuses a pair that is no candidate or
+        that a rule bans.
         """
         if a == b or not (self.alive[a] and self.alive[b]):
             raise ValueError("merge needs two distinct alive groups")
         if self.kind[a] == RESPONDENT and self.kind[b] == RESPONDENT:
             raise ValueError("respondent groups never merge")
+        if self._pair_of(a, b) is None:
+            raise ValueError("merging groups with disjoint descriptions")
+        if b in self.ban[a]:
+            raise ValueError("merging groups that are adjacent or share a respondent")
         if self.kind[b] == RESPONDENT:
             a, b = b, a
         elif self.kind[a] == FRIEND and b < a:
             a, b = b, a
         s, o = a, b  # survivor, absorbed
-        lo, hi = max(self.lo[s], self.lo[o]), min(self.hi[s], self.hi[o])
-        if self.kind[s] == FRIEND and lo > hi:
-            raise ValueError("merging groups with disjoint descriptions")
-        (old_s, w_s), (old_o, w_o) = self.row(s), self.row(o)
-        narrowed = self.kind[s] == FRIEND and (lo, hi) != (self.lo[s], self.hi[s])
-        if narrowed:
-            self.lo[s], self.hi[s] = lo, hi
-            self._mass[s] = self._slot_mass(s)
+        self._leave(s)
+        self._leave(o)
+        self.lo[s], self.hi[s] = max(self.lo[s], self.lo[o]), min(self.hi[s], self.hi[o])
         self.members[s].extend(self.members[o])
         self.members[o] = []
         for x in self.adj[o]:
@@ -255,67 +289,16 @@ class ReconState:
         self.adj[o] = set()
         self.alive[o] = False
         self.n_alive -= 1
-        self._rows.clear()
-        if not narrowed:  # the weights stand; o leaves, and o's bans join s's
-            stay = old_s != o
-            self._rows[s] = old_s[stay], self._allowed(s, old_s[stay], w_s[stay])
-        new, w = self.row(s)
-        # the order of these updates fixes the rounding of w_sum, and so the
-        # draws: s's old row, o's without the pair (s, o), s's new row
-        keep = old_o != s
-        for ids, v in ((old_s, w_s), (old_o[keep], w_o[keep])):
-            self.n_pairs -= ids.size
-            self.w_sum[ids] -= v
-            self.w_pos[ids] -= v > 0
-        self.n_pairs += new.size
-        self.w_sum[new] += w
-        self.w_pos[new] += w > 0
-        self.w_sum[s], self.w_pos[s] = w.sum(), np.count_nonzero(w)
-        self.w_sum[o] = self.w_pos[o] = 0
+        self.type_of[s] = self._enter(s)
+        for h in self._rules(s):
+            self._add_ban(s, h)
         return s
-
-    def check_invariants(self, forest: SampleForest) -> None:
-        """Debug/test hook: verify structural invariants of the state,
-        and that every row, its sum and the pair count equal a
-        recomputation from a scan of all groups."""
-        alive_ids = np.flatnonzero(self.alive)
-        seen: set[int] = set()
-        for i in alive_ids:
-            occs = self.members[i]
-            assert occs, "alive group with no members"
-            assert not (set(occs) & seen), "occurrence in two groups"
-            seen.update(occs)
-            kinds = forest.kind[list(occs)]
-            assert (kinds == RESPONDENT).sum() <= 1, "two respondents in one group"
-            if self.kind[i] == FRIEND:
-                assert self.lo[i] <= self.hi[i], "empty friend description"
-            for x in self.adj[i]:
-                assert self.alive[x] and x != i, "edge to dead group or self"
-                assert i in self.adj[x], "asymmetric adjacency"
-        assert len(seen) == forest.size, "lost occurrences"
-        slots = np.arange(self.kind.size)
-        assert (self._mass == self._slot_mass(slots)).all(), "masses out of date"
-        w_sum, w_pos = np.zeros(slots.size), np.zeros(slots.size, dtype=np.int64)
-        pairs = 0
-        for i in alive_ids:  # against a scan of every group
-            ids, w = self.row(i)
-            full = ((self.lo <= self.hi[i]) & (self.hi >= self.lo[i]) & self.alive
-                    & ~(self._resp[i] & self._resp)).nonzero()[0]
-            full = full[full != i]
-            assert np.array_equal(ids, full), "candidates out of date"
-            ref = self._allowed(i, full, self._weights(i, full))
-            assert np.array_equal(w, ref), "weights out of date"
-            w_sum[i], w_pos[i], pairs = w.sum(), np.count_nonzero(w), pairs + ids.size
-        assert self.n_pairs * 2 == pairs, "candidate count out of date"
-        assert (self.w_pos == w_pos).all(), "positive counts out of date"
-        assert np.allclose(self.w_sum, w_sum, rtol=1e-9, atol=1e-12), \
-            "weight row sums out of date"
 
 
 def _result(forest: SampleForest, state: ReconState, log: list[MergeEvent],
             attempts: int) -> ReconResult:
     vid = np.cumsum(state.alive) - 1  # the vertex of each alive group
-    prov = np.empty(state.kind.size, dtype=np.int64)
+    prov = np.empty(forest.size, dtype=np.int64)
     for gid in np.flatnonzero(state.alive).tolist():
         prov[state.members[gid]] = vid[gid]
     return ReconResult(coalesced_network(forest, prov), prov, log, attempts)
@@ -335,11 +318,12 @@ def reconstruct(forest: SampleForest, dist: CategoryDistribution, n_t: int,
     """Coalesce ``forest`` down to ``n_t`` vertices.
 
     Each merge falls on a candidate pair with probability p / Σp, where
-    p is the current pair probability.  That is the law of drawing
-    candidate pairs uniformly and accepting each with probability p; the
-    attempts that process would make are drawn as Geometric(Σp /
-    |candidates|) per merge.  Stops when the group count reaches
-    ``n_t``.
+    p is the current pair probability: a type pair is drawn ∝ its
+    probability times its unbanned member pairs, then a uniform unbanned
+    member pair of it.  That is the law of drawing candidate pairs
+    uniformly and accepting each with probability p; the attempts that
+    process would make are drawn as Geometric(Σp / |candidates|) per
+    merge.  Stops when the group count reaches ``n_t``.
 
     Raises :class:`ReconstructionStalled` — carrying the partial result —
     at once when no candidate pair is left or none has a positive
@@ -358,21 +342,25 @@ def reconstruct(forest: SampleForest, dist: CategoryDistribution, n_t: int,
     log: list[MergeEvent] = []
     attempts = 0
     while state.n_alive > n_t:
-        # a row with no positive weight left may still hold rounding
-        # residue; with no candidate pair left, every row is empty
-        cum = np.cumsum(np.where(state.w_pos > 0, state.w_sum, 0.0))
-        if cum[-1] <= 0:
-            reason = ("no candidate pairs left" if state.n_pairs == 0 else
+        pairs = state.member_pairs()
+        free = pairs - state.banned
+        if not free[state.prob > 0].any():
+            reason = ("no candidate pairs left" if not pairs.any() else
                       "no candidate pair has positive merge probability")
             raise ReconstructionStalled(
                 f"{reason} at size {state.n_alive} (target {n_t})",
                 _result(forest, state, log, attempts))
-        attempts += int(rng.geometric(min(1.0, float(cum[-1]) / 2 / state.n_pairs)))
-        a = _draw(cum, rng.random())
-        ids, w = state.row(a)
-        k = _draw(np.cumsum(w), rng.random())
-        a, b = min(a, int(ids[k])), max(a, int(ids[k]))
+        cum = np.cumsum(state.prob * free)
+        attempts += int(rng.geometric(min(1.0, float(cum[-1]) / int(pairs.sum()))))
+        k = _draw(cum, rng.random())
+        xs, ys = state.of_type[state.ta[k]], state.of_type[state.tb[k]]
+        while True:
+            a, b = xs[rng.integers(len(xs))], ys[rng.integers(len(ys))]
+            if a != b and b not in state.ban[a]:
+                break
+        a, b = min(a, b), max(a, b)
         log.append(MergeEvent(tuple(sorted(state.members[a])),
-                              tuple(sorted(state.members[b])), float(w[k])))
+                              tuple(sorted(state.members[b])),
+                              state.pair_probability(a, b)))
         state.merge(a, b)
     return _result(forest, state, log, attempts)

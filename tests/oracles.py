@@ -19,10 +19,10 @@ the very same state.  Law oracles (:func:`randomize_edges_reference`,
 a rewrite is checked against them by statistical tests over many seeds.
 :func:`select_immunized_reference` is the package's former per-budget
 immunization choice, against which its one ranking per strategy is
-checked prefix by prefix.  :func:`initial_rows_reference` is the
-coalescer's former scan of every occurrence pair, and
-:func:`project_reference` its former per-vertex projection loop; the
-package's rewrites must match them exactly.
+checked prefix by prefix.  :func:`project_reference` is the
+package's former per-vertex projection loop, which its rewrite must
+match exactly.  :func:`check_coalescer_state` checks the coalescer's
+state after any merge against :func:`coalescing_reference`.
 """
 
 from __future__ import annotations
@@ -353,39 +353,63 @@ def final_groupings_reference(is_respondent, lo, hi, parent, probs, n_t):
     return law(frozenset(frozenset({occ}) for occ in range(len(parent))))
 
 
-def initial_rows_reference(state, scan=1 << 18):
-    """Each occurrence's initial candidates, ascending, with the sum and
-    positive count of their weights, as the coalescer built them before
-    it listed candidates per payload type: every occurrence pair is
-    compared, ``scan`` pairs at a time, and a row sums its weights in
-    order through ``np.bincount``.
+def check_coalescer_state(forest, dist, n_t, state):
+    """Check what the coalescer's sampler reads against the coalescing
+    rules, recomputed from the members of the state's alive groups.
 
-    Kept as the package wrote it, so it reads the ``_resp``,
-    ``_weights`` and ``_allowed`` of the :class:`ReconState` it is
-    given; returns ``(cands, w_sum, w_pos)``.
+    The candidate pairs the state lists must be those of
+    :func:`coalescing_reference`, and each one's ``pair_probability``,
+    either way round, the reference's to rel 1e-12: 0 when a rule bans
+    the pair, its type pair's probability otherwise.  The banned pairs
+    are the candidates of probability 0 when every category has positive
+    mass; otherwise a second reference call with equal category masses
+    tells them, as its candidates of probability 0.  The groups listed
+    under each payload type, their count, the banned member pairs of
+    every type pair and ``n_pairs`` must match exactly.  Raises
+    AssertionError at the first difference.
     """
-    import numpy as np
+    from netrecon import RESPONDENT
 
-    n = state.kind.size
-    lo, hi, resp = state.lo, state.hi, state._resp
-    cands = []
-    w_sum = np.zeros(n)
-    w_pos = np.zeros(n, dtype=np.int64)
-    step = max(1, scan // n)
-    for start in range(0, n, step):
-        rows = np.arange(start, min(start + step, n))
-        keep = (lo[rows, None] <= hi) & (hi[rows, None] >= lo)
-        keep &= ~(resp[rows, None] & resp)
-        keep[rows - start, rows] = False
-        k, j = keep.nonzero()
-        w = state._weights(rows[k], j)
-        cut = np.cumsum(np.bincount(k, minlength=rows.size))[:-1]
-        cands += np.split(j, cut)
-        for r, ids, v in zip(rows.tolist(), cands[start:], np.split(w, cut)):
-            state._allowed(r, ids, v)  # v is a view: zeroes w
-        w_sum[rows] = np.bincount(k, weights=w, minlength=rows.size)
-        w_pos[rows] = np.bincount(k[w > 0], minlength=rows.size)
-    return cands, w_sum, w_pos
+    alive = [g for g in range(forest.size) if state.alive[g]]
+    groups = [sorted(state.members[g]) for g in alive]
+    assert sorted(o for m in groups for o in m) == list(range(forest.size)), \
+        "lost or doubled occurrences"
+    kind, lo, hi = forest.kind.tolist(), forest.lo.tolist(), forest.hi.tolist()
+    is_resp = [k == RESPONDENT for k in kind]
+    args = (is_resp, lo, hi, forest.parent.tolist(), groups)
+    cand, prob = coalescing_reference(*args, dist.p.tolist(), n_t)
+    open_ = (prob if min(dist.p) > 0 else
+             coalescing_reference(*args, [1.0] * forest.g, n_t)[1])
+
+    type_of = {}
+    for g, members in zip(alive, groups):
+        resp = [o for o in members if is_resp[o]]
+        assert len(resp) <= 1, "two respondents in one group"
+        key = ((kind[resp[0]], lo[resp[0]], lo[resp[0]]) if resp else
+               (kind[members[0]], max(lo[o] for o in members), min(hi[o] for o in members)))
+        assert state.types.get(key) == state.type_of[g], "payload type out of date"
+        type_of[g] = state.type_of[g]
+    for t, listed in enumerate(state.of_type):
+        assert sorted(listed) == [g for g in alive if type_of[g] == t], \
+            "type lists out of date"
+        assert state.count[t] == len(listed), "type counts out of date"
+
+    want = sorted((alive[i], alive[j]) for (i, j), c in cand.items() if c)
+    assert state.pairs.tolist() == [list(p) for p in want], "candidates out of date"
+    assert state.n_pairs == len(want), "candidate count out of date"
+    index = {g: i for i, g in enumerate(alive)}
+    banned = Counter()
+    for a, b in want:
+        key = index[a], index[b]
+        p = prob[key] if open_[key] > 0 else 0.0
+        for got in (state.pair_probability(a, b), state.pair_probability(b, a)):
+            assert got is not None and math.isclose(got, p, rel_tol=1e-12), \
+                "pair probability out of date"
+        if open_[key] == 0:
+            banned[min(type_of[a], type_of[b]), max(type_of[a], type_of[b])] += 1
+    counts = zip(state.ta.tolist(), state.tb.tolist(), state.banned.tolist())
+    assert {(t, u): c for t, u, c in counts if c} == dict(banned), \
+        "banned counts out of date"
 
 
 def _discrepancy(edges, values):

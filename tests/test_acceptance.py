@@ -107,7 +107,8 @@ def heavy_net():
 def test_01_pair_probability_worked_example():
     """Uniform 50-category anchor: P(merge) for friend intervals [33,34]
     and [34,36] is exactly 50/(6 n_t), by the coalescing rules' oracle
-    on exact rationals and in the row the sampler draws from."""
+    on exact rationals and in the type-pair probability the sampler
+    draws with."""
     exact = [Fraction(1, 50)] * 50
     # two one-vertex paths, each respondent naming one friend
     forest = SampleForest(tree=[0, 0, 1, 1], parent=[-1, 0, -1, 2],
@@ -119,9 +120,9 @@ def test_01_pair_probability_worked_example():
             [[0], [1], [2], [3]], exact, n_t)
         assert isinstance(probs[1, 3], Fraction)
         assert probs[1, 3] == Fraction(50, 6 * n_t)
-        ids, w = ReconState(forest, uniform_distribution(50), n_t).row(1)
-        assert ids.tolist() == [3]
-        assert w[0] == pytest.approx(50 / (6 * n_t))
+        state = ReconState(forest, uniform_distribution(50), n_t)
+        assert state.pairs.tolist() == [[1, 3]]
+        assert state.pair_probability(1, 3) == pytest.approx(50 / (6 * n_t))
 
 
 def test_02_perfect_information_reconstruction():

@@ -27,8 +27,8 @@ from netrecon import (
 )
 from netrecon.sampling import SampleForest
 
-from oracles import (coalescing_reference, final_groupings_reference,
-                     group_graph_reference, groups_of, initial_rows_reference,
+from oracles import (check_coalescer_state, coalescing_reference,
+                     final_groupings_reference, group_graph_reference, groups_of,
                      replay_merges)
 
 UNIFORM50 = uniform_distribution(50)
@@ -55,43 +55,36 @@ def hand_forest():
     )
 
 
-def weight(state, a, b):
-    """The weight of b in group a's row; None when b is no candidate."""
-    ids, w = state.row(a)
-    k = np.flatnonzero(ids == b)
-    return float(w[k[0]]) if k.size else None
-
-
 def test_pair_probability_respondent_friend():
     # respondent 0 (category 34) against the non-adjacent friend [34, 36]:
     # 1 / (n_t * Pr([34,36])) = 50 / (3 * 25), below the clamp at n_t = 25
     state = ReconState(hand_forest(), UNIFORM50, n_t=25)
-    assert weight(state, 0, 3) == pytest.approx(50 / (3 * 25))
+    assert state.pair_probability(0, 3) == pytest.approx(50 / (3 * 25))
     state = ReconState(hand_forest(), UNIFORM50, n_t=10)
     # same pair at n_t = 10: the raw ratio 5/3 caps at one
-    assert weight(state, 0, 3) == pytest.approx(1.0)
+    assert state.pair_probability(0, 3) == pytest.approx(1.0)
     # category outside the interval: no candidate
-    assert weight(state, 2, 1) is None
+    assert state.pair_probability(2, 1) is None
     # adjacency: a respondent is never its own report
-    assert weight(state, 0, 1) == 0.0
+    assert state.pair_probability(0, 1) == 0.0
 
 
 def test_pair_probability_friend_friend():
     state = ReconState(hand_forest(), UNIFORM50, n_t=10)
     # [33,34] x [34,36]: intersection {34}
-    assert weight(state, 1, 3) == pytest.approx(50 / (6 * 10))
+    assert state.pair_probability(1, 3) == pytest.approx(50 / (6 * 10))
     # [34,36] x [36,40]: intersection {36}
-    assert weight(state, 3, 5) == pytest.approx(10 / (3 * 10))
+    assert state.pair_probability(3, 5) == pytest.approx(10 / (3 * 10))
     # disjoint intervals: no candidate
-    assert weight(state, 1, 5) is None
+    assert state.pair_probability(1, 5) is None
     # same reporting respondent
-    assert weight(state, 1, 6) == 0.0
+    assert state.pair_probability(1, 6) == 0.0
 
 
 def test_pair_probability_respondent_pair_and_errors():
     state = ReconState(hand_forest(), UNIFORM50, n_t=10)
-    assert weight(state, 0, 2) is None
-    assert weight(state, 0, 4) is None
+    assert state.pair_probability(0, 2) is None
+    assert state.pair_probability(0, 4) is None
     with pytest.raises(ValueError, match="respondent groups never merge"):
         state.merge(0, 2)
 
@@ -99,8 +92,8 @@ def test_pair_probability_respondent_pair_and_errors():
 def test_pair_probability_clamps_to_one():
     state = ReconState(hand_forest(), UNIFORM50, n_t=1)
     # the raw ratios 50/3 and 50/6 exceed 1
-    assert weight(state, 0, 3) == pytest.approx(1.0)
-    assert weight(state, 1, 3) == pytest.approx(1.0)
+    assert state.pair_probability(0, 3) == pytest.approx(1.0)
+    assert state.pair_probability(1, 3) == pytest.approx(1.0)
 
 
 def test_zero_support_description():
@@ -108,8 +101,9 @@ def test_zero_support_description():
     p[:10] = 0.1
     dist = CategoryDistribution(50, p)  # no mass above category 10
     state = ReconState(hand_forest(), dist, n_t=10)
-    for i in range(7):
-        assert not state.row(i)[1].any()  # every friend interval has Pr = 0
+    for i in range(7):  # every friend interval has Pr = 0
+        assert not any(state.pair_probability(i, j) for j in range(7))
+    check_coalescer_state(hand_forest(), dist, 10, state)
 
 
 def test_state_rejects_mismatched_distribution():
@@ -118,7 +112,7 @@ def test_state_rejects_mismatched_distribution():
 
 
 def test_state_rejects_a_friend_naming_anyone():
-    # the row updates after a merge rely on friends being leaves named
+    # the ban updates after a merge rely on friends being leaves named
     # by respondents
     forest = SampleForest(tree=[0, 0, 0], parent=[-1, 0, 1],
                           kind=[RESPONDENT, FRIEND, FRIEND],
@@ -138,7 +132,7 @@ def test_merge_respondent_absorbs_friend():
     assert not state.alive[3]
     # friend 3's adjacency to respondent 2 transferred to the survivor
     assert 2 in state.adj[0] and 0 in state.adj[2]
-    state.check_invariants(f)
+    check_coalescer_state(f, UNIFORM50, 5, state)
 
 
 def test_merge_friends_intersect_payloads():
@@ -148,7 +142,7 @@ def test_merge_friends_intersect_payloads():
     assert survivor == 1  # smaller id wins for friend pairs
     assert (state.lo[1], state.hi[1]) == (34, 34)
     assert sorted(state.members[1]) == [1, 3]
-    state.check_invariants(f)
+    check_coalescer_state(f, UNIFORM50, 5, state)
     # a second merge with a now-disjoint interval must refuse
     with pytest.raises(ValueError):
         state.merge(1, 5)  # [34,34] x [36,40]
@@ -158,6 +152,20 @@ def test_merge_rejects_respondent_pair():
     state = ReconState(hand_forest(), UNIFORM50, n_t=5)
     with pytest.raises(ValueError):
         state.merge(0, 2)
+
+
+def test_merge_refuses_pairs_the_rules_never_merge():
+    """A respondent and a friend whose interval misses its category are
+    no candidate pair; a respondent and its own friend, or two friends
+    it named, are banned."""
+    state = ReconState(hand_forest(), UNIFORM50, n_t=5)
+    with pytest.raises(ValueError, match="disjoint descriptions"):
+        state.merge(0, 5)  # category 34 against [36, 40]
+    for a, b in ((0, 1), (1, 6)):
+        with pytest.raises(ValueError, match="adjacent or share a respondent"):
+            state.merge(a, b)
+    assert state.n_alive == 7
+    check_coalescer_state(hand_forest(), UNIFORM50, 5, state)
 
 
 @pytest.fixture(scope="module")
@@ -170,20 +178,21 @@ def sampled():
 
 @pytest.fixture
 def checked_reconstruct(monkeypatch):
-    """reconstruct, with the state's invariants checked after every
-    merge: each row is recomputed from a scan of all groups."""
-    merge, forests = ReconState.merge, []
+    """reconstruct, with the state checked by check_coalescer_state
+    after every merge."""
+    merge, inputs = ReconState.merge, []
 
     def checked_merge(state, a, b):
         survivor = merge(state, a, b)
-        state.check_invariants(forests[-1])
+        forest, dist = inputs[-1]
+        check_coalescer_state(forest, dist, state.n_t, state)
         return survivor
 
     monkeypatch.setattr(ReconState, "merge", checked_merge)
 
-    def run(forest, *args, **kwargs):
-        forests.append(forest)
-        return reconstruct(forest, *args, **kwargs)
+    def run(forest, dist, *args, **kwargs):
+        inputs.append((forest, dist))
+        return reconstruct(forest, dist, *args, **kwargs)
     return run
 
 
@@ -397,8 +406,8 @@ def test_first_merge_and_attempts_follow_the_rejection_law():
 def hub_forest():
     """A respondent naming five friends, two of them with the widest
     interval, and a second respondent on its own path naming two.  The
-    wide friends' rows hold many small weights and the narrow friends'
-    few large ones, so the groups' row sums spread widely.
+    wide friends' pairs have small probabilities and the narrow friends'
+    large ones, so the pair probabilities spread widely.
 
       occ 0  respondent, category 4   occ 1-5  its friends [2,2], [5,5],
                                                [1,10], [1,10], [5,5]
@@ -414,9 +423,38 @@ def hub_forest():
     )
 
 
+def mixed_forest():
+    """Three chained respondents whose friends share payload types, so
+    that some type pairs hold banned and unbanned member pairs at once
+    and a draw within a type pair may have to draw again.
+
+      occ 0  respondent, category 4      occ 1, 2  its friends [3,6], [5,8]
+      occ 3  respondent, category 6      occ 4, 5  its friends [3,6], [5,8]
+      occ 6  respondent, category 5      occ 7, 8  its friends [3,6], [4,7]
+    """
+    return SampleForest(
+        tree=[0] * 9,
+        parent=[-1, 0, 0, 0, 3, 3, 3, 6, 6],
+        kind=[RESPONDENT, FRIEND, FRIEND] * 3,
+        lo=[4, 3, 5, 6, 3, 5, 5, 3, 4],
+        hi=[4, 6, 8, 6, 6, 8, 5, 6, 7],
+        g=10,
+    )
+
+
+def test_only_the_mixed_forest_starts_with_mixed_type_pairs():
+    """A type pair is mixed when it holds banned and unbanned member
+    pairs; only there may the draw within a type pair draw again."""
+    for forest, mixed in ((law_forest(), 0), (hub_forest(), 0), (mixed_forest(), 6)):
+        state = ReconState(forest, SKEWED10, 6)
+        assert np.count_nonzero((state.banned > 0)
+                                & (state.banned < state.member_pairs())) == mixed
+
+
 @pytest.mark.parametrize("forest, n_t", [(law_forest(), 6), (law_forest(), 5),
-                                         (hub_forest(), 6)],
-                         ids=["law-6", "law-5", "hub-6"])
+                                         (hub_forest(), 6), (mixed_forest(), 6),
+                                         (mixed_forest(), 5)],
+                         ids=["law-6", "law-5", "hub-6", "mixed-6", "mixed-5"])
 def test_final_grouping_follows_the_whole_run_law(forest, n_t):
     """The grouping a run ends in, stalls included, has the law of
     merging pairs with probability p / sum p step after step: chi-square
@@ -450,33 +488,29 @@ def test_matrices_track_every_merge(sampled, checked_reconstruct):
     n_t = forest.n_r + 3
     res = checked_reconstruct(forest, dist, n_t, seed=25)
     assert len(res.log) == forest.size - n_t
-    # stepped by hand, each group's row against the oracle
     state = ReconState(forest, dist, n_t)
+    check_coalescer_state(forest, dist, n_t, state)
+    # one wrong banned count or type-pair probability is caught
+    k = np.flatnonzero((state.member_pairs() > state.banned) & (state.prob > 0))[0]
+    for table, wrong in ((state.banned, state.banned[k] + 1),
+                         (state.prob, state.prob[k] / 2)):
+        kept = table[k]
+        table[k] = wrong
+        with pytest.raises(AssertionError):
+            check_coalescer_state(forest, dist, n_t, state)
+        table[k] = kept
+    # stepped by hand through pairs the oracle picks, checked after each merge
     rng = np.random.default_rng(26)
-    while True:
+    while state.n_alive > n_t:
         alive = np.flatnonzero(state.alive)
-        cand, prob = reference_for(forest, [state.members[i] for i in alive],
-                                   dist, n_t)
-        for x, a in enumerate(alive):
-            keys = {y: (min(x, y), max(x, y)) for y in range(alive.size) if y != x}
-            ys = [y for y, key in keys.items() if cand[key]]
-            ids, w = state.row(a)
-            assert ids.tolist() == alive[ys].tolist()
-            assert w.tolist() == pytest.approx([prob[keys[y]] for y in ys], rel=1e-12)
+        _, prob = reference_for(forest, [state.members[i] for i in alive], dist, n_t)
         positive = [k for k, p in prob.items() if p > 0]
-        if state.n_alive == n_t or not positive:
+        if not positive:
             break
         x, y = positive[rng.integers(len(positive))]
         state.merge(int(alive[x]), int(alive[y]))
-        state.check_invariants(forest)
+        check_coalescer_state(forest, dist, n_t, state)
     assert state.n_alive == n_t
-    for table in (state.w_sum, state.w_pos):
-        kept = table[alive[0]]
-        table[alive[0]] += 1
-        with pytest.raises(AssertionError):
-            state.check_invariants(forest)
-        table[alive[0]] = kept
-    state.check_invariants(forest)
 
 
 def test_state_memory_stays_below_a_dense_matrix():
@@ -506,31 +540,27 @@ def test_state_memory_stays_below_a_dense_matrix():
 @pytest.mark.parametrize("g, c, f, method", [(50, 1, 5, "rpm"), (20, 3, 5, "rpm"),
                                           (None, 1, 25, "hpm")],
                          ids=["sweep-heavy", "coalesce-large", "test_09"])
-def test_rows_listed_per_type_match_the_pair_scan(sampled, g, c, f, method):
-    """Candidates listed once per payload type give every occurrence the
-    row, row sum (bit for bit), positive count and pair count that a scan
-    of every occurrence pair gives, on small forests shaped like the
-    benchmark's (normal categories) and test_09's (g = n, uniform)."""
+def test_state_follows_the_rules_on_benchmark_shaped_forests(sampled, g, c, f,
+                                                             method):
+    """The type-pair table, type counts and banned counts match the
+    coalescing rules on small forests shaped like the benchmark's
+    (normal categories) and test_09's (g = n, uniform)."""
     for seed in range(3):
         dist = uniform_distribution(sampled.n) if g is None else discretized_normal(g)
         attrs = assign_attributes(sampled.n, dist, seed=seed)
         paths = sample_paths(sampled, 30, method, seed=40 + seed)
         forest = elicit_friends(sampled, attrs, paths, f, c, seed=50 + seed)
         state = ReconState(forest, dist, forest.n_t)
-        cands, w_sum, w_pos = initial_rows_reference(state)
-        for i, ids in enumerate(cands):
-            assert np.array_equal(state.row(i)[0], ids)
-        assert np.array_equal(state.w_sum, w_sum)
-        assert np.array_equal(state.w_pos, w_pos)
-        assert state.n_pairs * 2 == sum(ids.size for ids in cands) > 0
+        check_coalescer_state(forest, dist, forest.n_t, state)
+        assert state.n_pairs > 0
 
 
 def edge_forest():
-    """Payload types at the edges of the per-type candidate lists.
+    """Payload types at the edges of the type-pair table.
 
       occ 0  respondent, category 9   no friend's interval holds 9
-      occ 1  friend, [1, 2]           overlaps no payload but its own; named
-                                      by nobody, so no ban covers itself
+      occ 1  friend, [1, 2]           overlaps no payload but its own; its
+                                      type pairs with itself, one member alone
       occ 2  respondent, category 5   (next on the path of 0)
       occ 3  friend of 2, [4, 6]
       occ 4  friend of 0, [5, 5]
@@ -542,33 +572,23 @@ def edge_forest():
 
 def test_rows_at_the_edges_of_the_type_lists(sampled):
     """A respondent type no friend overlaps and a friend type that
-    overlaps only itself get empty rows; a forest without friends has no
-    candidate pair.  Every row matches the oracle."""
+    overlaps only itself form no candidate pair; a forest without
+    friends has none at all.  The state matches the oracle."""
     dist = uniform_distribution(10)
     forest = edge_forest()
     n_t = forest.n_r + 1
     state = ReconState(forest, dist, n_t)
-    cand, prob = reference_for(forest, [[i] for i in range(forest.size)],
-                               dist, n_t)
-    for i in range(forest.size):
-        ids, w = state.row(i)
-        keys = [(min(i, j), max(i, j)) for j in range(forest.size) if j != i]
-        assert [max(key) if min(key) == i else min(key) for key in keys
-                if cand[key]] == ids.tolist()
-        assert w.tolist() == pytest.approx([prob[key] for key in keys if cand[key]],
-                                           rel=1e-12)
-        assert state.w_sum[i] == pytest.approx(w.sum(), rel=1e-12)
-        assert state.w_pos[i] == np.count_nonzero(w)
-    assert state.row(0)[0].size == state.row(1)[0].size == 0
-    assert state.n_pairs == 3  # (2, 3), (2, 4) and (3, 4)
-    state.check_invariants(forest)
+    check_coalescer_state(forest, dist, n_t, state)
+    assert all(state.pair_probability(i, j) is None
+               for i in (0, 1) for j in range(forest.size))
+    assert state.pairs.tolist() == [[2, 3], [2, 4], [3, 4]]
 
     attrs = assign_attributes(sampled.n, dist, seed=0)
     paths = sample_paths(sampled, 12, "rpm", seed=1)
     alone = elicit_friends(sampled, attrs, paths, 0, 1, seed=2)
     state = ReconState(alone, dist, alone.size)
-    assert state.n_pairs == 0 and not state.w_pos.any()
-    assert all(state.row(i)[0].size == 0 for i in range(alone.size))
+    assert state.n_pairs == 0 and not state.banned.any()
+    check_coalescer_state(alone, dist, alone.size, state)
     assert reconstruct(alone, dist, alone.size, seed=3).log == []
 
 
@@ -611,7 +631,7 @@ def test_a_run_has_no_attempt_budget():
                           kind=[RESPONDENT, FRIEND, RESPONDENT, FRIEND],
                           lo=[10, 1, 10, 5], hi=[10, 5, 10, 9], g=10)
     state = ReconState(forest, dist, 3)
-    assert state.n_pairs == 1 and 0 < weight(state, 1, 3) < 1e-5
+    assert state.n_pairs == 1 and 0 < state.pair_probability(1, 3) < 1e-5
     res = reconstruct(forest, dist, 3, seed=0)
     assert [(ev.members_a, ev.members_b) for ev in res.log] == [((1,), (3,))]
     assert res.attempts > 1000 * forest.size
