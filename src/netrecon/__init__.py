@@ -25,6 +25,7 @@ from .epidemic import (
     evaluate_strategy,
     immunization_order,
     sir_run,
+    sir_sizes,
 )
 from .generate import LfrParams, generate_lfr_like, realized_mixing
 from .graph import Graph, load_edge_list, read_partition, write_edge_list, write_partition

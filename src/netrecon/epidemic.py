@@ -15,7 +15,10 @@ v -> u alike).  The set of vertices ever infected is then the set
 reachable from the seeds over the open arcs without entering an
 immunized vertex: the SIR <-> bond percolation mapping, exact for a
 fixed infectious period (Kenah & Robins, PRE 76, 036113, 2007; Newman,
-PRE 66, 016128, 2002).
+PRE 66, 016128, 2002).  Each epidemic is one reachability query over
+its own open arcs, so up to 64 of them share one breadth-first
+traversal, one bit each of a uint64 word per vertex and per arc; every
+epidemic still draws its seeds and arcs from its own generator.
 
 Immunization strategies rank the vertices once — from the underlying
 network (the unrealistic full-knowledge baseline), at random, or from
@@ -41,6 +44,7 @@ __all__ = [
     "StrategySpec",
     "EpidemicOutcome",
     "sir_run",
+    "sir_sizes",
     "immunization_order",
     "evaluate_strategy",
 ]
@@ -57,6 +61,8 @@ PROPERTIES = ("degree", "k_out", "embeddedness-low")
 # the config's default ``strategies``: kind or kind:property tokens
 DEFAULT_STRATEGIES = ("underlying-top:degree", "reconstructed-top:degree",
                       "reconstructed-frequency-random", "random-whole")
+
+_LANES = 64  # epidemics traversed together, one bit each of a uint64 word
 
 
 @dataclass(frozen=True)
@@ -99,22 +105,27 @@ class EpidemicOutcome:
     runs: int
 
 
-def sir_run(g: Graph, immunized: np.ndarray, params: SirParams, seed: int) -> int:
-    """One epidemic; returns the number of vertices ever infected.
+def sir_sizes(g: Graph, immunized: np.ndarray, params: SirParams,
+              seeds) -> np.ndarray:
+    """The number of vertices ever infected in one epidemic per seed.
 
-    Seeds max(1, round(init_frac * n)) uniform vertices among the
-    non-immunized.  Raises if an immunized id lies outside [0, n), or if
-    everyone (or too many to seed) is immunized.
+    Each epidemic seeds max(1, round(init_frac * n)) uniform vertices
+    among the non-immunized.  Raises, before anything is drawn, if an
+    immunized id lies outside [0, n), or if everyone (or too many to
+    seed) is immunized.
 
     The synchronous SIR final size is computed in its bond-percolation
     form (see the module docstring): after the seed draw, one uniform
     per CSR arc opens that arc with probability
-    q = 1 - (1 - beta)^infectious_steps, and the result is the number of
+    q = 1 - (1 - beta)^infectious_steps, and the size is the number of
     vertices reachable from the seeds over open arcs, immunized vertices
     excluded.  At beta = 0 that is the seeds alone, at beta = 1 their
-    whole non-immunized component.
+    whole non-immunized component.  Each epidemic takes its seed draw and
+    its arc uniforms, in that order, from its own ``default_rng(seed)``;
+    blocks of up to 64 epidemics then share one breadth-first traversal,
+    bit j of a vertex's or an arc's uint64 word belonging to the block's
+    j-th epidemic.
     """
-    rng = np.random.default_rng(seed)
     immune = np.zeros(g.n, dtype=bool)
     imm = np.asarray(immunized, dtype=np.int64)
     if imm.size:
@@ -127,26 +138,61 @@ def sir_run(g: Graph, immunized: np.ndarray, params: SirParams, seed: int) -> in
     n_seed = max(1, round(params.init_frac * g.n))
     if n_seed > pool.size:
         raise ValueError("not enough non-immunized vertices to seed")
-    seeds = rng.choice(pool, size=n_seed, replace=False)
-
     q = 1.0 - (1.0 - params.beta) ** params.infectious_steps
-    open_arc = rng.random(g.indices.size) < q
-    reached = immune  # immunized or already infected: never entered again
-    reached[seeds] = True
-    frontier = seeds
-    total = int(n_seed)
+    seeds = list(seeds)
+    sizes = np.empty(len(seeds), dtype=np.int64)
+    for lo in range(0, len(seeds), _LANES):
+        block = seeds[lo:lo + _LANES]
+        sizes[lo:lo + len(block)] = _block_sizes(g, immune, pool, n_seed, q, block)
+    return sizes
+
+
+def _block_sizes(g: Graph, immune: np.ndarray, pool: np.ndarray, n_seed: int,
+                 q: float, seeds: list) -> np.ndarray:
+    """The sizes of up to 64 epidemics, traversed together; bit j of
+    every vertex's and arc's word belongs to ``seeds[j]``."""
+    n_arc = g.indices.size
+    start = np.zeros(g.n, dtype=np.uint64)
+    open_bytes = np.zeros((8, n_arc), dtype=np.uint8)  # row b: lanes 8b to 8b + 7
+    for j, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        start[rng.choice(pool, size=n_seed, replace=False)] |= np.uint64(1 << j)
+        open_bytes[j >> 3] |= (rng.random(n_arc) < q).view(np.uint8) << (j & 7)
+    open_w = np.ascontiguousarray(open_bytes.T).view("<u8")[:, 0].astype(np.uint64)
+    # immunized vertices count as reached in every lane: never entered
+    reached = np.where(immune, ~np.uint64(0), start)
+    verts = np.flatnonzero(start)
+    bits = start[verts]
+    pushed = np.zeros(g.n, dtype=np.uint64)  # zero again after every level
+    slot = np.empty(g.n, dtype=np.int64)
     indptr, indices = g.indptr, g.indices
-    while frontier.size:
-        # the arc positions of every frontier vertex's adjacency slice
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        ends = np.cumsum(counts)
-        arcs = np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])
-        hits = indices[arcs[open_arc[arcs]]]
-        frontier = np.unique(hits[~reached[hits]])
-        reached[frontier] = True
-        total += int(frontier.size)
-    return total
+    while verts.size:
+        # the arcs of every frontier vertex and the lanes each one carries
+        first = indptr[verts]
+        deg = indptr[verts + 1] - first
+        ends = np.cumsum(deg)
+        arcs = np.repeat(first - ends + deg, deg) + np.arange(ends[-1])
+        push = np.repeat(bits, deg) & open_w[arcs]
+        live = push != 0
+        hit, push = indices[arcs[live]], push[live]
+        np.bitwise_or.at(pushed, hit, push)
+        pos = np.arange(hit.size)
+        slot[hit] = pos
+        hit = hit[slot[hit] == pos]  # each vertex once
+        bits = pushed[hit] & ~reached[hit]
+        pushed[hit] = 0
+        live = bits != 0
+        verts, bits = hit[live], bits[live]
+        reached[verts] |= bits
+    lanes = np.unpackbits(reached.astype("<u8").view(np.uint8).reshape(-1, 8),
+                          axis=1, bitorder="little")
+    return lanes[:, :len(seeds)].sum(axis=0, dtype=np.int64) - int(immune.sum())
+
+
+def sir_run(g: Graph, immunized: np.ndarray, params: SirParams, seed: int) -> int:
+    """One epidemic; returns the number of vertices ever infected.  The
+    one-seed call of :func:`sir_sizes`, which documents the model."""
+    return int(sir_sizes(g, immunized, params, [seed])[0])
 
 
 def _rank_keys(graph: Graph, prop: str, seed: int) -> np.ndarray:
@@ -210,12 +256,12 @@ def immunization_order(g: Graph, strategy: StrategySpec, seed: int,
 def evaluate_strategy(g: Graph, immunized: np.ndarray, params: SirParams,
                       runs: int, seed: int) -> EpidemicOutcome:
     """Mean/std epidemic size over ``runs`` independently seeded
-    epidemics with the ``immunized`` vertices removed."""
+    epidemics with the ``immunized`` vertices removed: epidemic i runs
+    from seed ``derive_seed(seed, "sir", i)``, all of them in one
+    :func:`sir_sizes` call."""
     if runs < 1:
         raise ValueError("need at least one run")
-    sizes = np.array([
-        sir_run(g, immunized, params, derive_seed(seed, "sir", i))
-        for i in range(runs)
-    ], dtype=float)
+    sizes = sir_sizes(g, immunized, params,
+                      [derive_seed(seed, "sir", i) for i in range(runs)]).astype(float)
     std = float(sizes.std(ddof=1)) if runs > 1 else 0.0
     return EpidemicOutcome(float(sizes.mean()), std, runs)

@@ -139,16 +139,22 @@ class ReconState:
             self.adj[c].add(p)
         # cumulative masses for O(1) interval probabilities; length g+1
         self._cum = np.concatenate([[0.0], np.cumsum(dist.p, dtype=float)])
+        # the payload types, numbered in order of first appearance
         self.types: dict[tuple[int, int, int], int] = {}
-        self.of_type: list[list[int]] = []
-        self._keys = np.zeros((0, 3), dtype=np.int64)  # the types' (kind, lo, hi)
-        self.count = np.zeros(0, dtype=np.int64)
+        self.type_of = [self.types.setdefault(key, len(self.types))
+                        for key in zip(self.kind, self.lo, self.hi)]
+        self.of_type: list[list[int]] = [[] for _ in self.types]
+        for g, t in enumerate(self.type_of):
+            self.of_type[t].append(g)
+        self.count = np.bincount(self.type_of, minlength=len(self.types))
+        # the types' (kind, lo, hi)
+        self._keys = np.array(list(self.types), dtype=np.int64).reshape(-1, 3)
         self.ta = np.zeros(0, dtype=np.int64)
         self.tb = np.zeros(0, dtype=np.int64)
         self.prob = np.zeros(0)
         self.banned = np.zeros(0, dtype=np.int64)
         self._pair: dict[tuple[int, int], int] = {}
-        self.type_of = [self._enter(g) for g in range(n)]
+        self._add_pairs(*_overlapping_types(self._keys))
         self.ban: list[set[int]] = [set() for _ in range(n)]
         for g in range(n):
             for h in self._rules(g):
@@ -201,9 +207,8 @@ class ReconState:
         return t
 
     def _add_type(self, key: tuple[int, int, int]) -> None:
-        """Number a new payload type and give each type pair it forms its
-        merge probability: 1 / (n_t Pr(d_f)) with a respondent type, and
-        Pr(d_u ∩ d_v) / (n_t Pr(d_u) Pr(d_v)) between two friend types."""
+        """Number a new payload type, made by a merge, and add the type
+        pairs it forms."""
         t = len(self.types)
         self.types[key] = t
         self.of_type.append([])
@@ -211,20 +216,29 @@ class ReconState:
         self._keys = np.append(self._keys, [key], axis=0)
         kind, lo, hi = self._keys.T
         resp = kind == RESPONDENT
+        near = np.flatnonzero((lo <= hi[t]) & (hi >= lo[t]) & ~(resp & resp[t]))
+        self._add_pairs(near, np.full(near.size, t))
+
+    def _add_pairs(self, ta: np.ndarray, tb: np.ndarray) -> None:
+        """Append the type pairs (ta[k], tb[k]) with their merge
+        probabilities: 1 / (n_t Pr(d_f)) with a respondent type, and
+        Pr(d_u ∩ d_v) / (n_t Pr(d_u) Pr(d_v)) between two friend types."""
+        kind, lo, hi = self._keys.T
+        resp = kind == RESPONDENT
         cum = self._cum
         mass = np.where(resp, 1.0, np.maximum(cum[hi] - cum[lo - 1], 0.0))
-        near = np.flatnonzero((lo <= hi[t]) & (hi >= lo[t]) & ~(resp & resp[t]))
-        num = np.maximum(cum[np.minimum(hi[near], hi[t])]
-                         - cum[np.maximum(lo[near], lo[t]) - 1], 0.0)
-        num[resp[near] | resp[t]] = 1.0
-        den = self.n_t * (mass[near] * mass[t])
-        p = np.zeros(near.size)
+        num = np.maximum(cum[np.minimum(hi[ta], hi[tb])]
+                         - cum[np.maximum(lo[ta], lo[tb]) - 1], 0.0)
+        num[resp[ta] | resp[tb]] = 1.0
+        den = self.n_t * (mass[ta] * mass[tb])
+        p = np.zeros(ta.size)
         np.divide(num, den, out=p, where=den > 0)
-        self._pair.update(((u, t), self.prob.size + i) for i, u in enumerate(near.tolist()))
-        self.ta = np.append(self.ta, near)
-        self.tb = np.append(self.tb, np.full(near.size, t))
+        self._pair.update((pair, self.prob.size + i)
+                          for i, pair in enumerate(zip(ta.tolist(), tb.tolist())))
+        self.ta = np.append(self.ta, ta)
+        self.tb = np.append(self.tb, tb)
         self.prob = np.append(self.prob, np.minimum(p, 1.0))
-        self.banned = np.append(self.banned, np.zeros(near.size, dtype=np.int64))
+        self.banned = np.append(self.banned, np.zeros(ta.size, dtype=np.int64))
 
     def _rules(self, g: int) -> list[int]:
         """The groups whose payloads overlap g's that a rule keeps apart
@@ -293,6 +307,28 @@ class ReconState:
         for h in self._rules(s):
             self._add_ban(s, h)
         return s
+
+
+def _overlapping_types(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The type pairs (ta, tb), ta <= tb, whose payloads overlap and are
+    not both a respondent's, ordered by tb and then ta: the order in
+    which adding the types one at a time lists them.
+
+    A sweep over the types sorted by lo: a type overlaps itself and the
+    types after it in that order up to the first whose lo exceeds its hi.
+    """
+    kind, lo, hi = keys.T
+    by_lo = np.argsort(lo, kind="stable")
+    span = np.searchsorted(lo[by_lo], hi[by_lo], side="right") - np.arange(lo.size)
+    ends = np.cumsum(span)
+    at = np.repeat(np.arange(lo.size) - ends + span, span) + np.arange(span.sum())
+    a, b = np.repeat(by_lo, span), by_lo[at]
+    ta, tb = np.minimum(a, b), np.maximum(a, b)
+    resp = kind == RESPONDENT
+    keep = ~(resp[ta] & resp[tb])
+    ta, tb = ta[keep], tb[keep]
+    order = np.lexsort((ta, tb))
+    return ta[order], tb[order]
 
 
 def _result(forest: SampleForest, state: ReconState, log: list[MergeEvent],

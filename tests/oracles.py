@@ -11,7 +11,8 @@ Stream oracles (:func:`assign_communities_reference`,
 :func:`make_assortative_reference`,
 :func:`make_assortative_scalar_reference`,
 :func:`match_stubs_reference`,
-:func:`greedy_modularity_reference`)
+:func:`greedy_modularity_reference`,
+:func:`sir_bfs_reference`)
 draw the very same random numbers in the same order as the package, so a
 faster rewrite must give the very same result and leave the generator in
 the very same state.  Law oracles (:func:`randomize_edges_reference`,
@@ -616,6 +617,42 @@ def sir_reference(indptr, indices, immunized, init_frac, beta,
             susceptible[new] = False
             timer[new] = infectious_steps
             total += int(new.size)
+    return total
+
+
+def sir_bfs_reference(indptr, indices, immunized, init_frac, beta,
+                      infectious_steps, seed):
+    """The final size of one epidemic in its bond-percolation form, by
+    one breadth-first search per epidemic: the package's former
+    ``sir_run``.
+
+    Draws the seeds and then one uniform per CSR arc, opening it below
+    q = 1 - (1 - beta)^infectious_steps, and counts the vertices reached
+    from the seeds over open arcs without entering an immunized one.
+    """
+    import numpy as np
+
+    n = len(indptr) - 1
+    rng = np.random.default_rng(seed)
+    reached = np.zeros(n, dtype=bool)  # immunized or already infected
+    reached[np.asarray(immunized, dtype=np.int64)] = True
+    pool = np.flatnonzero(~reached)
+    n_seed = max(1, round(init_frac * n))
+    seeds = rng.choice(pool, size=n_seed, replace=False)
+    q = 1.0 - (1.0 - beta) ** infectious_steps
+    open_arc = rng.random(len(indices)) < q
+    reached[seeds] = True
+    frontier = seeds
+    total = int(n_seed)
+    while frontier.size:
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        ends = np.cumsum(counts)
+        arcs = np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])
+        hits = indices[arcs[open_arc[arcs]]]
+        frontier = np.unique(hits[~reached[hits]])
+        reached[frontier] = True
+        total += int(frontier.size)
     return total
 
 

@@ -24,9 +24,15 @@ from netrecon import (
     reconstruct,
     sample_paths,
     sir_run,
+    sir_sizes,
     uniform_distribution,
 )
-from oracles import reachable_reference, select_immunized_reference, sir_reference
+from oracles import (
+    reachable_reference,
+    select_immunized_reference,
+    sir_bfs_reference,
+    sir_reference,
+)
 
 
 def star(n):
@@ -93,13 +99,21 @@ def test_sir_immunized_never_infected():
     assert sir_run(g, np.zeros(0, dtype=np.int64), params, seed=0) == 40
 
 
-def test_sir_validates_pool():
+def test_sir_validates_pool(monkeypatch):
+    """Both calls check the immunized set before they draw anything."""
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before the inputs were checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
     g = star(5)
     params = SirParams(init_frac=1.0, beta=0.5)
-    with pytest.raises(ValueError):
-        sir_run(g, np.arange(5), params, seed=0)  # everyone immune
-    with pytest.raises(ValueError):
-        sir_run(g, np.arange(4), params, seed=0)  # too few left to seed
+    for bad, message in (([5], r"immunized ids must lie in \[0, n\)"),
+                         (range(5), "every vertex is immunized"),
+                         (range(4), "not enough non-immunized vertices")):
+        with pytest.raises(ValueError, match=message):
+            sir_run(g, np.array(bad), params, seed=0)
+        with pytest.raises(ValueError, match=message):
+            sir_sizes(g, np.array(bad), params, range(70))
 
 
 def test_sir_monotone_in_beta(bench):
@@ -109,8 +123,7 @@ def test_sir_monotone_in_beta(bench):
     means = []
     for beta in (0.02, 0.10, 0.40):
         params = SirParams(init_frac=0.01, beta=beta, infectious_steps=3)
-        sizes = [sir_run(g, none, params, seed=s) for s in range(500)]
-        means.append(np.mean(sizes))
+        means.append(sir_sizes(g, none, params, range(500)).mean())
     assert means[0] < means[1] < means[2]
 
 
@@ -233,11 +246,18 @@ def test_select_validates_alignment(bench):
 
 
 @pytest.fixture(scope="module")
-def heavy_ensemble():
-    """The paper-scale HEAVY network and three reconstructions of it."""
+def heavy():
+    """The paper-scale HEAVY network."""
     g, _ = generate_lfr_like(LfrParams(
         n=1460, k_avg=10, k_max=100, mu=0.2, tau1=2.5, tau2=1.0, c_min=10,
         c_max=50, seed=7))
+    return g
+
+
+@pytest.fixture(scope="module")
+def heavy_ensemble(heavy):
+    """The paper-scale HEAVY network and three reconstructions of it."""
+    g = heavy
     dist = uniform_distribution(50)
     attrs = assign_attributes(g.n, dist, seed=8)
     ensemble, projections = [], []
@@ -318,7 +338,7 @@ def test_sir_size_law_matches_step_reference(bench, isolated, budget):
     g = Graph.from_edges(bench.n + isolated, bench.edges())
     immunized = np.sort(np.argsort(-g.degrees, kind="stable")[:budget])
     p = SirParams(init_frac=0.02, beta=0.04, infectious_steps=4)
-    ours = [sir_run(g, immunized, p, seed) for seed in range(2000)]
+    ours = sir_sizes(g, immunized, p, range(2000))
     ref = [_step_reference(g, immunized, p, seed)
            for seed in range(10**5, 10**5 + 2000)]
     assert ks_2samp(ours, ref).pvalue > 1e-3
@@ -334,9 +354,52 @@ def test_sir_matches_step_reference_at_beta_zero_and_one(bench):
     for immunized in immunized_sets:
         for beta in (0.0, 1.0):
             p = SirParams(init_frac=0.01, beta=beta, infectious_steps=2)
+            ours = sir_sizes(g, immunized, p, range(50))
             for seed in range(50):
-                assert sir_run(g, immunized, p, seed) == _step_reference(
-                    g, immunized, p, seed)
+                assert ours[seed] == _step_reference(g, immunized, p, seed)
+
+
+def path(n):
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def top_degrees(g, k):
+    return np.argsort(-g.degrees, kind="stable")[:k]
+
+
+# name: (graph, immunized, SIR parameters), the graph from the HEAVY one
+LANE_CASES = {
+    "heavy": (lambda h: h, lambda g: [], {}),
+    "heavy-15-immunized": (lambda h: h, lambda g: top_degrees(g, 15), {}),
+    "duplicate-immunized": (lambda h: h, lambda g: [3, 3, 700, 3, 700, 1459], {}),
+    "isolated-vertices": (lambda h: Graph.from_edges(h.n + 40, h.edges()),
+                          lambda g: top_degrees(g, 15), dict(init_frac=0.01)),
+    "beta-0": (lambda h: h, lambda g: top_degrees(g, 15), dict(beta=0.0)),
+    "beta-1": (lambda h: h, lambda g: top_degrees(g, 15), dict(beta=1.0)),
+    "no-arcs": (lambda h: Graph.from_edges(50, []), lambda g: [4, 9],
+                dict(init_frac=0.1, beta=1.0)),
+    # one seed in a segment of 300 to 1600 vertices: 150 levels or more
+    "path-5000": (lambda h: path(5000),
+                  lambda g: [0, 300, 1000, 1700, 2900, 3200, 4600],
+                  dict(init_frac=1 / 5000, beta=1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LANE_CASES))
+def test_sir_sizes_match_the_per_run_bfs(heavy, case):
+    """Every lane of the bit-parallel traversal gives its own epidemic's
+    size, the one a breadth-first search per epidemic finds from the same
+    draws, for blocks of 64 lanes, partial blocks and a lone run."""
+    graph_of, immunized_of, params = LANE_CASES[case]
+    g = graph_of(heavy)
+    immunized = np.asarray(immunized_of(g), dtype=np.int64)
+    p = SirParams(**params)
+    seeds = [derive_seed(11, "lanes", i) for i in range(130)]
+    ref = [sir_bfs_reference(g.indptr, g.indices, immunized, p.init_frac,
+                             p.beta, p.infectious_steps, s) for s in seeds]
+    for k in (1, 63, 64, 65, 130):
+        assert sir_sizes(g, immunized, p, seeds[:k]).tolist() == ref[:k], k
+    assert sir_run(g, immunized, p, seeds[5]) == ref[5]
 
 
 @st.composite
@@ -352,19 +415,22 @@ def immunized_graphs(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=immunized_graphs(), seed=st.integers(0, 2**32 - 1),
+@given(case=immunized_graphs(),
+       seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=70),
        steps=st.integers(1, 4))
-def test_sir_at_beta_one_reaches_the_seeds_components(case, seed, steps):
+def test_sir_at_beta_one_reaches_the_seeds_components(case, seeds, steps):
     n, edges, immunized, init_frac = case
     g = Graph.from_edges(n, edges)
     immunized = np.array(immunized, dtype=np.int64)
     p = SirParams(init_frac=init_frac, beta=1.0, infectious_steps=steps)
-    # the seed draw sir_run documents: uniform among the non-immunized
     pool = np.setdiff1d(np.arange(n), immunized)
-    seeds = np.random.default_rng(seed).choice(
-        pool, size=max(1, round(init_frac * n)), replace=False)
-    assert sir_run(g, immunized, p, seed) == reachable_reference(
-        n, edges, immunized.tolist(), seeds.tolist())
+    sizes = sir_sizes(g, immunized, p, seeds)
+    for seed, size in zip(seeds, sizes.tolist()):
+        # the seed draw sir_sizes documents: uniform among the non-immunized
+        drawn = np.random.default_rng(seed).choice(
+            pool, size=max(1, round(init_frac * n)), replace=False)
+        assert size == reachable_reference(n, edges, immunized.tolist(),
+                                           drawn.tolist())
 
 
 def test_sir_rejects_out_of_range_immunized_ids():

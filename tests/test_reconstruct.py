@@ -544,7 +544,11 @@ def test_state_follows_the_rules_on_benchmark_shaped_forests(sampled, g, c, f,
                                                              method):
     """The type-pair table, type counts and banned counts match the
     coalescing rules on small forests shaped like the benchmark's
-    (normal categories) and test_09's (g = n, uniform)."""
+    (normal categories) and test_09's (g = n, uniform).  The types are
+    numbered in order of first appearance, and the type pairs come in
+    the order that adding those types one at a time lists them: by the
+    later type, then the earlier.  The draw by type pair reads them in
+    that order."""
     for seed in range(3):
         dist = uniform_distribution(sampled.n) if g is None else discretized_normal(g)
         attrs = assign_attributes(sampled.n, dist, seed=seed)
@@ -553,6 +557,13 @@ def test_state_follows_the_rules_on_benchmark_shaped_forests(sampled, g, c, f,
         state = ReconState(forest, dist, forest.n_t)
         check_coalescer_state(forest, dist, forest.n_t, state)
         assert state.n_pairs > 0
+        keys = list(dict.fromkeys(zip(forest.kind.tolist(), forest.lo.tolist(),
+                                      forest.hi.tolist())))
+        assert list(state.types) == keys
+        want = [(u, t) for t, (kt, lt, ht) in enumerate(keys)
+                for u, (ku, lu, hu) in enumerate(keys[:t + 1])
+                if lu <= ht and hu >= lt and not kt == ku == RESPONDENT]
+        assert list(zip(state.ta.tolist(), state.tb.tolist())) == want
 
 
 def edge_forest():
