@@ -44,6 +44,7 @@ from .reconstruct import (
     ReconResult,
     ReconState,
     ReconstructionStalled,
+    log_provenance,
     reconstruct,
 )
 from .sampling import (

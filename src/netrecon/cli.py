@@ -17,10 +17,13 @@ of :mod:`netrecon.pipeline` that ``run`` calls (at repetition 0), and
 writes the result, so chaining them reproduces the corresponding rows
 of a full ``run``.  attributes.txt and forest.txt start with a ``# g N``
 line, and a stage refuses a file whose g is not the config's.
-``recon.edges`` is written for inspection only: the later stages rebuild
-the reconstruction from forest.txt and provenance.txt, and refuse a
-merges.csv that is not the log of that provenance.  ``epidemic`` reads
-no file: it builds its network and attributes from the config.
+merges.csv, headed ``event,survivor,absorbed,probability``, holds one
+merge per line: the group ``survivor`` absorbed the group ``absorbed``,
+each group named by the occurrence id it started from.  The later
+stages rebuild the reconstruction from forest.txt and merges.csv alone;
+recon.edges and provenance.txt are written for inspection only.
+``epidemic`` reads no file: it builds its network and attributes from
+the config.
 """
 
 from __future__ import annotations
@@ -37,13 +40,12 @@ from .attributes import AttributeMap
 from .communities import modularity
 from .config import ExperimentConfig, load_config
 from .generate import realized_mixing
-from .graph import Graph, load_edge_list, read_partition, write_edge_list, write_partition
+from .graph import Graph, load_edge_list, write_edge_list, write_partition
 from .pipeline import (STAGES, _attributes, _communities, _distribution,
                        _network, _reconstruct, _sample, _score,
                        epidemic_rows_for_point, run_pipeline, write_tables)
-from .reconstruct import MergeEvent, ReconResult
-from .sampling import (SampleForest, coalesced_network, read_forest, read_truth,
-                       write_forest, write_truth)
+from .reconstruct import MergeEvent, ReconResult, _from_log
+from .sampling import SampleForest, read_forest, read_truth, write_forest, write_truth
 
 __all__ = ["main"]
 
@@ -146,47 +148,43 @@ def _load_forest(cfg: ExperimentConfig, point):
     return replace(forest, truth=truth)
 
 
+MERGES_HEADER = ["event", "survivor", "absorbed", "probability"]
+
+
 def _write_merges(log: list[MergeEvent], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["event", "members_a", "members_b", "probability"])
+        w.writerow(MERGES_HEADER)
         for i, ev in enumerate(log):
-            w.writerow([i, " ".join(map(str, ev.members_a)),
-                        " ".join(map(str, ev.members_b)), repr(ev.probability)])
+            w.writerow([i, ev.survivor, ev.absorbed, repr(ev.probability)])
 
 
-def _read_merges(path, provenance: np.ndarray) -> list[MergeEvent]:
-    """merges.csv, the log of the reconstruction that ``provenance``
-    records; a malformed row, or a log of another reconstruction, is an
-    error naming its line."""
-    n_occ = provenance.size
-    merges = n_occ - (int(provenance.max()) + 1)  # each merge joins two groups
+def _read_merges(path, n_occ: int) -> list[MergeEvent]:
+    """merges.csv, the merge log of a forest of ``n_occ`` occurrences; a
+    malformed row is an error naming its line."""
+    absorbed = np.zeros(n_occ, dtype=bool)
     log = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        next(reader, None)  # header
-        for row in reader:
-            try:
-                _, a, b, prob = row
-                a, b = (tuple(int(t) for t in cell.split()) for cell in (a, b))
-                prob = float(prob)
-                if not (a and b):
-                    raise ValueError("each side of a merge needs a member")
-                if not all(0 <= m < n_occ for m in a + b):
-                    raise ValueError(f"member ids must lie in [0, {n_occ})")
-                if np.unique(provenance[list(a + b)]).size > 1:
-                    raise ValueError("the members lie in different vertices "
-                                     "of provenance.txt")
+        try:
+            if next(reader, None) != MERGES_HEADER:
+                raise ValueError(f"expected the header {','.join(MERGES_HEADER)}")
+            for row in reader:
+                _, s, o, prob = row
+                s, o, prob = int(s), int(o), float(prob)
+                if not (0 <= s < n_occ and 0 <= o < n_occ):
+                    raise ValueError(f"group ids must lie in [0, {n_occ})")
+                if s == o:
+                    raise ValueError(f"group {s} merged with itself")
+                if absorbed[s] or absorbed[o]:
+                    raise ValueError(f"group {s if absorbed[s] else o} was "
+                                     "absorbed by an earlier event")
                 if not 0 < prob <= 1:
                     raise ValueError(f"probability {prob!r} is outside (0, 1]")
-                if len(log) == merges:
-                    raise ValueError(f"provenance.txt records only {merges} merges")
-                log.append(MergeEvent(a, b, prob))
-            except ValueError as exc:
-                raise ValueError(f"line {reader.line_num}: {exc}") from None
-    if len(log) < merges:
-        raise ValueError(f"line {reader.line_num}: the log ends after "
-                         f"{len(log)} merges; provenance.txt records {merges}")
+                absorbed[o] = True
+                log.append(MergeEvent(s, o, prob))
+        except ValueError as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
     return log
 
 
@@ -206,13 +204,10 @@ def cmd_reconstruct(cfg: ExperimentConfig, args) -> int:
 
 
 def _load_recon(cfg: ExperimentConfig, forest: SampleForest) -> ReconResult:
-    """Rebuild the reconstruction of ``forest`` from provenance.txt and
-    merges.csv.  The files do not keep the attempt count, which reads 0.
-    """
-    provenance = _read(cfg, "provenance.txt", read_partition, forest.size)
-    log = _read(cfg, "merges.csv", _read_merges, provenance)
-    return ReconResult(coalesced_network(forest, provenance), provenance, log,
-                       attempts=0)
+    """Rebuild the reconstruction of ``forest`` from merges.csv.  The file
+    does not keep the attempt count, which reads 0."""
+    return _from_log(forest, _read(cfg, "merges.csv", _read_merges, forest.size),
+                     attempts=0)
 
 
 def cmd_communities(cfg: ExperimentConfig, args) -> int:
@@ -222,7 +217,7 @@ def cmd_communities(cfg: ExperimentConfig, args) -> int:
     write_partition(labels, _out_path(cfg, "communities_network.txt"))
     print(f"network: {labels.max() + 1} communities, "
           f"modularity={modularity(graph, labels):.4f}")
-    if os.path.exists(os.path.join(cfg.out, "provenance.txt")):
+    if os.path.exists(os.path.join(cfg.out, "merges.csv")):
         forest = _read(cfg, "forest.txt", read_forest, g=point.g)
         rgraph = _load_recon(cfg, forest).graph
         rlabels = _communities(cfg, point, 0, rgraph, "recon")

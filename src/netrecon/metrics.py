@@ -30,18 +30,21 @@ def coalescing_precision(log: list[MergeEvent], truth: np.ndarray) -> float:
     """Fraction of merge events that joined occurrences of one person.
 
     A merge is correct iff every member occurrence of both groups maps
-    to the same underlying vertex.  Raises on an empty log (no merges,
+    to the same underlying vertex.  The log is replayed from singleton
+    groups, each group holding the one person all its members are, or
+    -1 once they are several.  Raises on an empty log (no merges,
     nothing to score).
     """
     if not log:
         raise ValueError("no merge events to score")
-    truth = np.asarray(truth)
+    person = np.asarray(truth).tolist()
     correct = 0
     for ev in log:
-        ids = {int(truth[o]) for o in ev.members_a}
-        ids.update(int(truth[o]) for o in ev.members_b)
-        if len(ids) == 1:
+        a, b = person[ev.survivor], person[ev.absorbed]
+        if a == b >= 0:
             correct += 1
+        else:
+            person[ev.survivor] = -1
     return correct / len(log)
 
 

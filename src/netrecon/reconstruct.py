@@ -56,15 +56,22 @@ __all__ = [
     "ReconResult",
     "ReconState",
     "ReconstructionStalled",
+    "log_provenance",
     "reconstruct",
 ]
 
 @dataclass(frozen=True)
 class MergeEvent:
-    """One accepted merge: member occurrences of both sides + probability."""
+    """One accepted merge: the group ``survivor`` absorbed the group
+    ``absorbed``, a draw of merge probability ``probability``.
 
-    members_a: tuple[int, ...]
-    members_b: tuple[int, ...]
+    A group is named by the occurrence id it started from, and keeps
+    that id while it absorbs others, so a log of these events, replayed
+    from singleton groups, tells every group's members at every step.
+    """
+
+    survivor: int
+    absorbed: int
     probability: float
 
 
@@ -72,9 +79,11 @@ class MergeEvent:
 class ReconResult:
     """A reconstructed network.
 
-    ``graph`` is the coalesced simple graph; ``provenance[occ]`` gives
-    the reconstructed vertex each forest occurrence ended up in;
-    ``log`` lists the merge events in order; ``attempts`` counts the
+    ``log`` lists the merge events in order, and is the record the other
+    fields but ``attempts`` derive from: ``provenance[occ]`` gives the
+    reconstructed vertex each forest occurrence ended up in (see
+    :func:`log_provenance`), and ``graph`` is the coalesced simple graph
+    of the forest under it.  ``attempts`` counts the
     candidate-pair draws that drawing pairs uniformly and accepting each
     with its probability would have made, rejected ones included.  It
     is drawn, one geometric variate per merge, and limits nothing.
@@ -132,7 +141,6 @@ class ReconState:
         self.hi = forest.hi.tolist()
         self.alive = np.ones(n, dtype=bool)
         self.n_alive = n
-        self.members: list[list[int]] = [[i] for i in range(n)]
         self.adj: list[set[int]] = [set() for _ in range(n)]
         for c, p in zip(child.tolist(), forest.parent[child].tolist()):
             self.adj[p].add(c)
@@ -292,8 +300,6 @@ class ReconState:
         self._leave(s)
         self._leave(o)
         self.lo[s], self.hi[s] = max(self.lo[s], self.lo[o]), min(self.hi[s], self.hi[o])
-        self.members[s].extend(self.members[o])
-        self.members[o] = []
         for x in self.adj[o]:
             self.adj[x].discard(o)
             if x != s:
@@ -331,12 +337,26 @@ def _overlapping_types(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ta[order], tb[order]
 
 
-def _result(forest: SampleForest, state: ReconState, log: list[MergeEvent],
-            attempts: int) -> ReconResult:
-    vid = np.cumsum(state.alive) - 1  # the vertex of each alive group
-    prov = np.empty(forest.size, dtype=np.int64)
-    for gid in np.flatnonzero(state.alive).tolist():
-        prov[state.members[gid]] = vid[gid]
+def log_provenance(n_occ: int, log: list[MergeEvent]) -> np.ndarray:
+    """The reconstructed vertex of each of ``n_occ`` occurrences after the
+    merges of ``log``.
+
+    Walking the log backwards, an absorbed group joins its survivor's
+    final group, which the later events have already settled.  The
+    groups never absorbed are the vertices, numbered densely by
+    ascending id.
+    """
+    group = list(range(n_occ))
+    for ev in reversed(log):
+        group[ev.absorbed] = group[ev.survivor]
+    alive = np.ones(n_occ, dtype=bool)
+    alive[[ev.absorbed for ev in log]] = False
+    return (np.cumsum(alive) - 1)[group]
+
+
+def _from_log(forest: SampleForest, log: list[MergeEvent], attempts: int) -> ReconResult:
+    """The reconstruction of ``forest`` that ``log`` records."""
+    prov = log_provenance(forest.size, log)
     return ReconResult(coalesced_network(forest, prov), prov, log, attempts)
 
 
@@ -385,7 +405,7 @@ def reconstruct(forest: SampleForest, dist: CategoryDistribution, n_t: int,
                       "no candidate pair has positive merge probability")
             raise ReconstructionStalled(
                 f"{reason} at size {state.n_alive} (target {n_t})",
-                _result(forest, state, log, attempts))
+                _from_log(forest, log, attempts))
         cum = np.cumsum(state.prob * free)
         attempts += int(rng.geometric(min(1.0, float(cum[-1]) / int(pairs.sum()))))
         k = _draw(cum, rng.random())
@@ -394,9 +414,7 @@ def reconstruct(forest: SampleForest, dist: CategoryDistribution, n_t: int,
             a, b = xs[rng.integers(len(xs))], ys[rng.integers(len(ys))]
             if a != b and b not in state.ban[a]:
                 break
-        a, b = min(a, b), max(a, b)
-        log.append(MergeEvent(tuple(sorted(state.members[a])),
-                              tuple(sorted(state.members[b])),
-                              state.pair_probability(a, b)))
-        state.merge(a, b)
-    return _result(forest, state, log, attempts)
+        p = float(state.prob[k])
+        s = state.merge(a, b)
+        log.append(MergeEvent(s, a + b - s, p))
+    return _from_log(forest, log, attempts)

@@ -135,15 +135,13 @@ def vertex_properties_reference(n, edges, partition):
     return deg, k_out, emb
 
 
-def merge_precision_reference(events, truth) -> float:
+def merge_precision_reference(kind, events, truth) -> float:
     """Recount of merge correctness: an event is right when all the
-    occurrences it touches belong to one underlying vertex."""
+    occurrences it touches, as :func:`replay_merges` tells them, belong
+    to one underlying vertex."""
     assert events
-    good = 0
-    for ev in events:
-        people = {truth[o] for o in list(ev.members_a) + list(ev.members_b)}
-        if len(people) == 1:
-            good += 1
+    _, sides = replay_merges(kind, merge_pairs(events))
+    good = sum(len({truth[o] for o in a | b}) == 1 for a, b in sides)
     return good / len(events)
 
 
@@ -202,33 +200,43 @@ def community_precision_reference(labels, reference, projection) -> float:
     return num / den
 
 
-def replay_merges(n_occurrences, events):
-    """Group occurrences by replaying a merge log from singletons.
+def merge_pairs(log):
+    """The (survivor, absorbed) pair of each event of a merge log."""
+    return [(ev.survivor, ev.absorbed) for ev in log]
 
-    Returns a frozenset of frozensets — the final grouping — for
-    comparison against a provenance array's groups.
+
+def replay_merges(kind, merges):
+    """Group occurrences by replaying (survivor, absorbed) merges from
+    singleton groups, each named by its occurrence id; ``kind[occ]`` is
+    the kind of each occurrence.
+
+    Each merge must be one the coalescer can make: both ids name alive
+    groups, at most one of them holds a respondent, and the survivor is
+    the respondent's group if one holds a respondent, else the smaller
+    id.  Returns (groups, sides): the final groups' members by group id,
+    and each merge's (survivor, absorbed) member sets before it.
     """
-    group_of = list(range(n_occurrences))
-    members = {i: {i} for i in range(n_occurrences)}
-    for ev in events:
-        ga = group_of[next(iter(ev.members_a))]
-        gb = group_of[next(iter(ev.members_b))]
-        assert ga != gb
-        assert members[ga] == set(int(o) for o in ev.members_a)
-        assert members[gb] == set(int(o) for o in ev.members_b)
-        members[ga] |= members[gb]
-        for o in members[gb]:
-            group_of[o] = ga
-        del members[gb]
-    return frozenset(frozenset(s) for s in members.values())
+    from netrecon import RESPONDENT
+
+    members = {i: frozenset({i}) for i in range(len(kind))}
+    sides = []
+    for s, o in merges:
+        assert s != o and s in members and o in members, \
+            "a merge of a group with itself or with an absorbed group"
+        rs, ro = (any(kind[x] == RESPONDENT for x in members[g]) for g in (s, o))
+        assert not (rs and ro), "two respondents merged"
+        assert rs if rs != ro else s < o, "the wrong group survived"
+        sides.append((members[s], members[o]))
+        members[s] |= members.pop(o)
+    return members, sides
 
 
 def group_graph_reference(groups, parent):
     """The graph that the tree edges induce between groups of occurrences.
 
-    ``groups`` is a collection of frozensets of occurrences (as from
-    :func:`replay_merges`) and ``parent[occ]`` the occurrence that named
-    occ, -1 for none.  Returns a set of edges, each the frozenset of the
+    ``groups`` is a collection of frozensets of occurrences (as the
+    groups of :func:`replay_merges`) and ``parent[occ]`` the occurrence
+    that named occ, -1 for none.  Returns a set of edges, each the frozenset of the
     two groups it joins; a tree edge inside one group gives a one-element
     set.
     """
@@ -238,8 +246,8 @@ def group_graph_reference(groups, parent):
 
 
 def groups_of(assignment):
-    """The grouping induced by an id-per-element array, same shape as
-    the :func:`replay_merges` result."""
+    """The grouping induced by an id-per-element array, a frozenset of
+    frozensets."""
     bucket = defaultdict(set)
     for elem, gid in enumerate(assignment):
         bucket[int(gid)].add(elem)
@@ -354,9 +362,10 @@ def final_groupings_reference(is_respondent, lo, hi, parent, probs, n_t):
     return law(frozenset(frozenset({occ}) for occ in range(len(parent))))
 
 
-def check_coalescer_state(forest, dist, n_t, state):
+def check_coalescer_state(forest, dist, n_t, state, merges):
     """Check what the coalescer's sampler reads against the coalescing
-    rules, recomputed from the members of the state's alive groups.
+    rules, recomputed from the groups that replaying ``merges``, the
+    (survivor, absorbed) pairs merged so far, gives.
 
     The candidate pairs the state lists must be those of
     :func:`coalescing_reference`, and each one's ``pair_probability``,
@@ -371,10 +380,11 @@ def check_coalescer_state(forest, dist, n_t, state):
     """
     from netrecon import RESPONDENT
 
-    alive = [g for g in range(forest.size) if state.alive[g]]
-    groups = [sorted(state.members[g]) for g in alive]
-    assert sorted(o for m in groups for o in m) == list(range(forest.size)), \
-        "lost or doubled occurrences"
+    members, _ = replay_merges(forest.kind.tolist(), merges)
+    alive = sorted(members)
+    assert [g for g in range(forest.size) if state.alive[g]] == alive, \
+        "alive groups out of date"
+    groups = [sorted(members[g]) for g in alive]
     kind, lo, hi = forest.kind.tolist(), forest.lo.tolist(), forest.hi.tolist()
     is_resp = [k == RESPONDENT for k in kind]
     args = (is_resp, lo, hi, forest.parent.tolist(), groups)

@@ -33,33 +33,44 @@ from oracles import (
 
 def test_coalescing_precision_fixture():
     # merging occurrence pairs of persons (5,5), (7,7), (5,9): 2 of 3 right
-    truth = np.array([5, 5, 7, 7, 9])
+    truth = np.array([5, 5, 7, 7, 9, 6, 8])
     log = [
-        MergeEvent((0,), (1,), 1.0),
-        MergeEvent((2,), (3,), 0.5),
-        MergeEvent((0, 1), (4,), 0.25),
+        MergeEvent(0, 1, 1.0),
+        MergeEvent(2, 3, 0.5),
+        MergeEvent(0, 4, 0.25),
     ]
     assert coalescing_precision(log, truth) == pytest.approx(2 / 3)
+    # then persons (6,8), and the two mixed groups {5,9} and {6,8}: both
+    # wrong, though neither group holds one person for the two to differ by
+    log += [MergeEvent(5, 6, 0.5), MergeEvent(0, 5, 0.5)]
+    assert coalescing_precision(log, truth) == pytest.approx(2 / 5)
     assert coalescing_precision(log, truth) == pytest.approx(
-        merge_precision_reference(log, truth))
+        merge_precision_reference([FRIEND] * truth.size, log, truth))
 
 
 def test_coalescing_precision_random_logs():
+    """Random logs that keep the coalescer's rules: a group holding a
+    respondent survives, else the smaller id, and two groups holding
+    respondents never merge."""
     rng = np.random.default_rng(0)
     for _ in range(50):
         n = int(rng.integers(4, 20))
         truth = rng.integers(0, 6, size=n)
-        groups = [[i] for i in range(n)]
+        kind = np.where(rng.random(n) < 0.3, RESPONDENT, FRIEND)
+        resp = {i: kind[i] == RESPONDENT for i in range(n)}  # by alive group
         log = []
-        while len(groups) > 2 and rng.random() < 0.8:
-            i, j = rng.choice(len(groups), size=2, replace=False)
-            log.append(MergeEvent(tuple(groups[i]), tuple(groups[j]), 0.5))
-            groups[i] = groups[i] + groups[j]
-            del groups[j]
+        while len(resp) > 2 and rng.random() < 0.8:
+            i, j = (int(x) for x in rng.choice(sorted(resp), size=2, replace=False))
+            if resp[i] and resp[j]:
+                continue
+            s, o = (i, j) if resp[i] or (not resp[j] and i < j) else (j, i)
+            log.append(MergeEvent(s, o, 0.5))
+            held = resp.pop(o)
+            resp[s] = resp[s] or held
         if not log:
             continue
         assert coalescing_precision(log, truth) == pytest.approx(
-            merge_precision_reference(log, truth))
+            merge_precision_reference(kind, log, truth))
 
 
 def test_coalescing_precision_empty_log():

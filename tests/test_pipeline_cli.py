@@ -4,12 +4,11 @@ import csv
 
 import pytest
 
-from netrecon import (epidemic, pipeline, read_forest, reconstruct,
-                      uniform_distribution)
+from netrecon import epidemic, pipeline
 from netrecon.cli import main
 from netrecon.config import parse_config
 from netrecon.generate import LfrParams, generate_lfr_like
-from netrecon.graph import read_partition, write_edge_list
+from netrecon.graph import write_edge_list
 from netrecon.pipeline import (
     EPIDEMIC_HEADER,
     ERROR_HEADER,
@@ -386,8 +385,9 @@ HPM = TINY.replace("method = rpm", "method = hpm")
 def test_cli_stage_chain_matches_run(tmp_path, text):
     """generate -> sample -> reconstruct -> communities -> metrics yields
     exactly the repetition-0 metric rows of the packaged sweep.  The
-    later stages rebuild the reconstruction without recon.edges, which
-    is written for inspection only."""
+    later stages rebuild the reconstruction from merges.csv, without
+    recon.edges and provenance.txt, which are written for inspection
+    only."""
     path = write_cfg(tmp_path, text)
     run_dir = tmp_path / "full"
     stage_dir = tmp_path / "stages"
@@ -397,6 +397,7 @@ def test_cli_stage_chain_matches_run(tmp_path, text):
         assert main([step, "--config", path, "--out", str(stage_dir)]) == 0
         if step == "reconstruct":
             (stage_dir / "recon.edges").unlink()
+            (stage_dir / "provenance.txt").unlink()
     rep_col = METRIC_HEADER.index("rep")
     for name in ("precision", "community", "rank"):
         full = read_table(run_dir / f"{name}.csv")
@@ -405,8 +406,7 @@ def test_cli_stage_chain_matches_run(tmp_path, text):
         assert staged[1:] == [r for r in full[1:] if r[rep_col] == "0"], name
     # intermediate artifacts exist
     for artifact in ("network.edges", "attributes.txt", "forest.txt",
-                     "truth.txt", "provenance.txt",
-                     "merges.csv", "communities_network.txt",
+                     "truth.txt", "merges.csv", "communities_network.txt",
                      "communities_recon.txt"):
         assert (stage_dir / artifact).exists(), artifact
 
@@ -482,44 +482,35 @@ def test_cli_stage_file_errors_name_the_file(tmp_path, capsys, name, step,
         f"error: {out / name}: line {line}: {message}\n"
 
 
-def merge_row(i, ev):
-    return (f"{i},{' '.join(map(str, ev.members_a))},"
-            f"{' '.join(map(str, ev.members_b))},{ev.probability!r}")
-
-
 def test_cli_rejects_a_malformed_merge_log(tmp_path, capsys):
-    """A bad merges.csv row, or a log that is not the one provenance.txt
-    records, ends the metrics and communities commands with an error
-    naming the file and the line, not a traceback or wrong scores."""
+    """A merges.csv with another header, or a row that is malformed or
+    merges no two alive groups, ends the metrics and communities
+    commands with an error naming the file and the line, not a
+    traceback or wrong scores."""
     path = write_cfg(tmp_path, TINY)
     out = tmp_path / "stages"
     for step in ("generate", "sample", "reconstruct"):
         assert main([step, "--config", path, "--out", str(out)]) == 0
     merges = out / "merges.csv"
     header, *rows = merges.read_text().splitlines()
-    assert rows
-    event, a, b, _ = rows[0].split(",")
-    # a reconstruction of the same forest down to the same size, by
-    # another seed: as many events, but other groups
-    provenance = read_partition(out / "provenance.txt")
-    stale = reconstruct(read_forest(out / "forest.txt"), uniform_distribution(20),
-                        int(provenance.max()) + 1, seed=5).log
-    assert len(stale) == len(rows)
-    split = next(i for i, ev in enumerate(stale)
-                 if len(set(provenance[list(ev.members_a + ev.members_b)])) > 1)
+    assert header == "event,survivor,absorbed,probability" and rows
+    event, s, o, _ = rows[0].split(",")
     capsys.readouterr()
-    for body, line, message in (
-            (["0,1 2"], 2, "expected 4, got 2"),
-            (["0,1 x,3,0.5"], 2, "invalid literal for int()"),
-            (["0,1,100000,0.5"], 2, "member ids must lie in [0, "),
-            (["0,,3,0.5"], 2, "each side of a merge needs a member"),
-            ([f"{event},{a},{b},0.0", *rows[1:]], 2, "probability 0.0 is outside"),
-            ([merge_row(i, ev) for i, ev in enumerate(stale)], split + 2,
-             "the members lie in different vertices of provenance.txt"),
-            (rows[:-1], len(rows), f"the log ends after {len(rows) - 1} merges"),
-            (rows + rows[-1:], len(rows) + 2,
-             f"provenance.txt records only {len(rows)} merges")):
-        merges.write_text("\n".join([header, *body]) + "\n")
+    for lines, line, message in (
+            ([header, "0,1"], 2, "expected 4, got 2"),
+            ([header, "0,1,x,0.5"], 2, "invalid literal for int()"),
+            ([header, "0,,3,0.5"], 2, "invalid literal for int()"),
+            ([header, "0,1,100000,0.5"], 2, "group ids must lie in [0, "),
+            ([header, f"{event},{s},{o},0.0", *rows[1:]], 2,
+             "probability 0.0 is outside"),
+            ([header, f"0,{s},{s},0.5"], 2, f"group {s} merged with itself"),
+            ([header, rows[0], f"1,{s},{o},0.5"], 3,
+             f"group {o} was absorbed by an earlier event"),
+            ([header, rows[0], f"1,{o},{s},0.5"], 3,
+             f"group {o} was absorbed by an earlier event"),
+            (["event,members_a,members_b,probability", *rows], 1,
+             "expected the header event,survivor,absorbed,probability")):
+        merges.write_text("\n".join(lines) + "\n")
         for step in ("metrics", "communities"):
             assert main([step, "--config", path, "--out", str(out)]) == 2
             err = capsys.readouterr().err

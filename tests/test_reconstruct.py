@@ -12,6 +12,7 @@ from netrecon import (
     RESPONDENT,
     CategoryDistribution,
     LfrParams,
+    MergeEvent,
     ReconState,
     ReconstructionStalled,
     assign_attributes,
@@ -20,6 +21,7 @@ from netrecon import (
     discretized_normal,
     elicit_friends,
     generate_lfr_like,
+    log_provenance,
     reconstruct,
     sample_paths,
     true_network,
@@ -29,7 +31,7 @@ from netrecon.sampling import SampleForest
 
 from oracles import (check_coalescer_state, coalescing_reference,
                      final_groupings_reference, group_graph_reference, groups_of,
-                     replay_merges)
+                     merge_pairs, replay_merges)
 
 UNIFORM50 = uniform_distribution(50)
 
@@ -103,7 +105,7 @@ def test_zero_support_description():
     state = ReconState(hand_forest(), dist, n_t=10)
     for i in range(7):  # every friend interval has Pr = 0
         assert not any(state.pair_probability(i, j) for j in range(7))
-    check_coalescer_state(hand_forest(), dist, 10, state)
+    check_coalescer_state(hand_forest(), dist, 10, state, [])
 
 
 def test_state_rejects_mismatched_distribution():
@@ -128,11 +130,10 @@ def test_merge_respondent_absorbs_friend():
     assert survivor == 0
     assert state.kind[0] == RESPONDENT
     assert state.lo[0] == state.hi[0] == 34  # exact category kept
-    assert sorted(state.members[0]) == [0, 3]
     assert not state.alive[3]
     # friend 3's adjacency to respondent 2 transferred to the survivor
     assert 2 in state.adj[0] and 0 in state.adj[2]
-    check_coalescer_state(f, UNIFORM50, 5, state)
+    check_coalescer_state(f, UNIFORM50, 5, state, [(0, 3)])
 
 
 def test_merge_friends_intersect_payloads():
@@ -141,8 +142,7 @@ def test_merge_friends_intersect_payloads():
     survivor = state.merge(3, 1)
     assert survivor == 1  # smaller id wins for friend pairs
     assert (state.lo[1], state.hi[1]) == (34, 34)
-    assert sorted(state.members[1]) == [1, 3]
-    check_coalescer_state(f, UNIFORM50, 5, state)
+    check_coalescer_state(f, UNIFORM50, 5, state, [(1, 3)])
     # a second merge with a now-disjoint interval must refuse
     with pytest.raises(ValueError):
         state.merge(1, 5)  # [34,34] x [36,40]
@@ -165,7 +165,7 @@ def test_merge_refuses_pairs_the_rules_never_merge():
         with pytest.raises(ValueError, match="adjacent or share a respondent"):
             state.merge(a, b)
     assert state.n_alive == 7
-    check_coalescer_state(hand_forest(), UNIFORM50, 5, state)
+    check_coalescer_state(hand_forest(), UNIFORM50, 5, state, [])
 
 
 @pytest.fixture(scope="module")
@@ -179,13 +179,16 @@ def sampled():
 @pytest.fixture
 def checked_reconstruct(monkeypatch):
     """reconstruct, with the state checked by check_coalescer_state
-    after every merge."""
-    merge, inputs = ReconState.merge, []
+    after every merge against the merges that merge returned for that
+    state so far."""
+    merge, inputs, merges = ReconState.merge, [], {}
 
     def checked_merge(state, a, b):
         survivor = merge(state, a, b)
+        made = merges.setdefault(state, [])
+        made.append((survivor, a + b - survivor))
         forest, dist = inputs[-1]
-        check_coalescer_state(forest, dist, state.n_t, state)
+        check_coalescer_state(forest, dist, state.n_t, state, made)
         return survivor
 
     monkeypatch.setattr(ReconState, "merge", checked_merge)
@@ -265,17 +268,25 @@ def test_reconstruct_ignores_truth(sampled):
 
 def test_merge_log_replay_matches_provenance(sampled, checked_reconstruct):
     """Replaying the merge log from singleton groups reproduces exactly
-    the grouping the provenance array reports."""
+    the grouping the provenance array reports.  Each event records the
+    probability of its pair in a state stepped through the log, which
+    the oracle checks after every merge."""
     g = sampled
     attrs = assign_attributes(g.n, uniform_distribution(5), seed=14)
     dist = uniform_distribution(5)
     paths = sample_paths(g, 30, "rpm", seed=15)
     forest = elicit_friends(g, attrs, paths, 4, 2, seed=16)
-    res = checked_reconstruct(forest, dist, forest.size - 25, seed=17)
+    n_t = forest.size - 25
+    res = checked_reconstruct(forest, dist, n_t, seed=17)
     assert res.log  # crowded categories: merges certainly happened
-    assert replay_merges(forest.size, res.log) == groups_of(res.provenance)
+    groups, _ = replay_merges(forest.kind, merge_pairs(res.log))
+    assert frozenset(groups.values()) == groups_of(res.provenance)
+    state = ReconState(forest, dist, n_t)
+    check_coalescer_state(forest, dist, n_t, state, [])
     for ev in res.log:
         assert 0.0 < ev.probability <= 1.0
+        assert state.pair_probability(ev.survivor, ev.absorbed) == ev.probability
+        assert state.merge(ev.absorbed, ev.survivor) == ev.survivor
     assert res.attempts >= len(res.log)
 
 
@@ -298,10 +309,36 @@ def test_reconstruct_stalls_when_target_unreachable(sampled):
         assert coalescing_precision(partial.log, forest.truth) == 1.0
 
 
+def test_a_stalled_runs_log_replays_to_its_provenance(sampled, checked_reconstruct):
+    """A run that stalls part way hands back a partial log that replays
+    to the partial provenance, as a finished run's does."""
+    dist = uniform_distribution(12)
+    attrs = assign_attributes(sampled.n, dist, seed=0)
+    paths = sample_paths(sampled, 15, "rpm", seed=100)
+    forest = elicit_friends(sampled, attrs, paths, 5, 2, seed=200)
+    with pytest.raises(ReconstructionStalled) as info:
+        checked_reconstruct(forest, dist, forest.n_r, seed=300)
+    partial = info.value.partial
+    assert partial.log and partial.graph.n > forest.n_r
+    groups, _ = replay_merges(forest.kind, merge_pairs(partial.log))
+    assert frozenset(groups.values()) == groups_of(partial.provenance)
+    assert (log_provenance(forest.size, partial.log) == partial.provenance).all()
+
+
+def test_log_provenance_numbers_the_survivors_in_id_order():
+    """Occurrence 4 absorbs 1, then 3 absorbs 4 and 0 absorbs 2: the
+    vertices are the groups 0, 3 and 5, numbered in that order, whatever
+    order the merges came in."""
+    log = [MergeEvent(4, 1, 0.5), MergeEvent(3, 4, 0.5), MergeEvent(0, 2, 0.5)]
+    assert log_provenance(6, log).tolist() == [0, 1, 0, 1, 1, 2]
+    assert log_provenance(6, log[2:] + log[:2]).tolist() == [0, 1, 0, 1, 1, 2]
+    assert log_provenance(3, []).tolist() == [0, 1, 2]
+
+
 def assert_graph_is_the_group_graph(forest, res):
     """res.graph, mapped through the provenance, is the group graph of
     the forest's tree edges under the replayed merge log."""
-    groups = replay_merges(forest.size, res.log)
+    groups = frozenset(replay_merges(forest.kind, merge_pairs(res.log))[0].values())
     assert groups == groups_of(res.provenance)
     group_of_vertex = {int(res.provenance[min(grp)]): grp for grp in groups}
     assert sorted(group_of_vertex) == list(range(res.graph.n))
@@ -392,7 +429,7 @@ def test_first_merge_and_attempts_follow_the_rejection_law():
     for seed in range(runs):
         res = reconstruct(forest, SKEWED10, n_t, seed=seed)
         (ev,) = res.log
-        merged[ev.members_a + ev.members_b] += 1
+        merged[tuple(sorted((ev.survivor, ev.absorbed)))] += 1
         attempts[min(res.attempts, 16)] += 1
     pos = sorted(k for k, p in prob.items() if p > 0)
     assert set(merged) <= set(pos)
@@ -489,7 +526,7 @@ def test_matrices_track_every_merge(sampled, checked_reconstruct):
     res = checked_reconstruct(forest, dist, n_t, seed=25)
     assert len(res.log) == forest.size - n_t
     state = ReconState(forest, dist, n_t)
-    check_coalescer_state(forest, dist, n_t, state)
+    check_coalescer_state(forest, dist, n_t, state, [])
     # one wrong banned count or type-pair probability is caught
     k = np.flatnonzero((state.member_pairs() > state.banned) & (state.prob > 0))[0]
     for table, wrong in ((state.banned, state.banned[k] + 1),
@@ -497,19 +534,22 @@ def test_matrices_track_every_merge(sampled, checked_reconstruct):
         kept = table[k]
         table[k] = wrong
         with pytest.raises(AssertionError):
-            check_coalescer_state(forest, dist, n_t, state)
+            check_coalescer_state(forest, dist, n_t, state, [])
         table[k] = kept
     # stepped by hand through pairs the oracle picks, checked after each merge
     rng = np.random.default_rng(26)
+    merges = []
     while state.n_alive > n_t:
-        alive = np.flatnonzero(state.alive)
-        _, prob = reference_for(forest, [state.members[i] for i in alive], dist, n_t)
+        groups, _ = replay_merges(forest.kind, merges)
+        alive = sorted(groups)
+        _, prob = reference_for(forest, [sorted(groups[g]) for g in alive], dist, n_t)
         positive = [k for k, p in prob.items() if p > 0]
         if not positive:
             break
         x, y = positive[rng.integers(len(positive))]
-        state.merge(int(alive[x]), int(alive[y]))
-        check_coalescer_state(forest, dist, n_t, state)
+        survivor = state.merge(alive[x], alive[y])
+        merges.append((survivor, alive[x] + alive[y] - survivor))
+        check_coalescer_state(forest, dist, n_t, state, merges)
     assert state.n_alive == n_t
 
 
@@ -555,7 +595,7 @@ def test_state_follows_the_rules_on_benchmark_shaped_forests(sampled, g, c, f,
         paths = sample_paths(sampled, 30, method, seed=40 + seed)
         forest = elicit_friends(sampled, attrs, paths, f, c, seed=50 + seed)
         state = ReconState(forest, dist, forest.n_t)
-        check_coalescer_state(forest, dist, forest.n_t, state)
+        check_coalescer_state(forest, dist, forest.n_t, state, [])
         assert state.n_pairs > 0
         keys = list(dict.fromkeys(zip(forest.kind.tolist(), forest.lo.tolist(),
                                       forest.hi.tolist())))
@@ -589,7 +629,7 @@ def test_rows_at_the_edges_of_the_type_lists(sampled):
     forest = edge_forest()
     n_t = forest.n_r + 1
     state = ReconState(forest, dist, n_t)
-    check_coalescer_state(forest, dist, n_t, state)
+    check_coalescer_state(forest, dist, n_t, state, [])
     assert all(state.pair_probability(i, j) is None
                for i in (0, 1) for j in range(forest.size))
     assert state.pairs.tolist() == [[2, 3], [2, 4], [3, 4]]
@@ -599,7 +639,7 @@ def test_rows_at_the_edges_of_the_type_lists(sampled):
     alone = elicit_friends(sampled, attrs, paths, 0, 1, seed=2)
     state = ReconState(alone, dist, alone.size)
     assert state.n_pairs == 0 and not state.banned.any()
-    check_coalescer_state(alone, dist, alone.size, state)
+    check_coalescer_state(alone, dist, alone.size, state, [])
     assert reconstruct(alone, dist, alone.size, seed=3).log == []
 
 
@@ -644,5 +684,5 @@ def test_a_run_has_no_attempt_budget():
     state = ReconState(forest, dist, 3)
     assert state.n_pairs == 1 and 0 < state.pair_probability(1, 3) < 1e-5
     res = reconstruct(forest, dist, 3, seed=0)
-    assert [(ev.members_a, ev.members_b) for ev in res.log] == [((1,), (3,))]
+    assert merge_pairs(res.log) == [(1, 3)]
     assert res.attempts > 1000 * forest.size
