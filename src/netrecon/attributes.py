@@ -140,16 +140,11 @@ def edge_discrepancy(g: Graph, attrs: AttributeMap) -> int:
     return int(np.abs(a[e[:, 0]] - a[e[:, 1]]).sum())
 
 
-# (x, y) proposal rows drawn per rng call in make_assortative
-_PROPOSAL_CHUNK = 4096
-# make_assortative judges its proposals in windows.  Each window is sized
-# so that, at the acceptance rate of the window before, it holds about
-# _WINDOW_ACCEPTS accepted swaps, and never fewer than _MIN_WINDOW rows.
-# Every accepted swap makes the bulk deltas of the proposals near it
-# stale, so more accepts per window means more patching in Python;
-# fewer means more numpy passes.
-_WINDOW_ACCEPTS = 16
-_MIN_WINDOW = 128
+# make_assortative judges its proposals in windows of _WINDOW rows.  Every
+# accepted swap makes the bulk deltas of the proposals near it stale, so a
+# longer window means more patching in Python, a shorter one more numpy
+# passes.
+_WINDOW = 256
 
 
 def _swap_deltas(x, y, a, indptr, indices, degree):
@@ -184,9 +179,9 @@ def _swap_deltas(x, y, a, indptr, indices, degree):
     return delta, d
 
 
-def _judge_window(xs, ys, take, delta, a, values, neighbors) -> int:
+def _judge_window(xs, ys, take, delta, a, values, neighbors) -> None:
     """Walk one window's proposals in order and apply the accepted swaps
-    to ``a`` and ``values``; returns how many were accepted.
+    to ``a`` and ``values``.
 
     ``take`` and ``delta`` are the bulk decisions and deltas against the
     categories at the window's start.  A proposal away from every vertex
@@ -196,7 +191,6 @@ def _judge_window(xs, ys, take, delta, a, values, neighbors) -> int:
     """
     old = {}  # the category at the window's start of each swapped vertex
     near = {}  # vertex -> the swapped vertices among its neighbors
-    accepted = 0
     for x, y, bulk_take, dl in zip(xs, ys, take, delta):
         if x in near or y in near:
             cx, cy = a[x], a[y]
@@ -233,8 +227,6 @@ def _judge_window(xs, ys, take, delta, a, values, neighbors) -> int:
                     near.setdefault(w, []).append(p)
         a[x], a[y] = a[y], a[x]
         values[x], values[y] = a[x], a[y]
-        accepted += 1
-    return accepted
 
 
 def make_assortative(g: Graph, attrs: AttributeMap, attempts: int,
@@ -247,9 +239,8 @@ def make_assortative(g: Graph, attrs: AttributeMap, attempts: int,
     multiset is preserved exactly; only the assignment changes.
 
     The proposals are the rows of ``rng.integers(0, n, size=(attempts,
-    2))``.  They are drawn in chunks of ``_PROPOSAL_CHUNK`` rows, which
-    consume the same random stream as that single draw, so the result
-    does not depend on the chunk size while memory stays bounded.
+    2))``, drawn ``_WINDOW`` rows at a time; the smaller draws consume
+    the same random stream as that single one.
 
     Most proposals are rejected, so their deltas are computed in bulk:
     one numpy pass gives every proposal of a window its delta against
@@ -272,23 +263,13 @@ def make_assortative(g: Graph, attrs: AttributeMap, attempts: int,
     degree = np.diff(g.indptr)
     indptr, indices = g.indptr.tolist(), g.indices.tolist()
     neighbors = [indices[indptr[v]:indptr[v + 1]] for v in range(n)]
-    size = _MIN_WINDOW
-    for start in range(0, attempts, _PROPOSAL_CHUNK):
-        rows = min(_PROPOSAL_CHUNK, attempts - start)
-        proposals = rng.integers(0, n, size=(rows, 2))
-        lo = 0
-        while lo < rows:
-            xs, ys = proposals[lo:lo + size].T
-            lo += xs.size
-            delta, d = _swap_deltas(xs, ys, values, g.indptr, g.indices, degree)
-            take = (d != 0) & (delta <= 0)
-            first = int(take.argmax())  # nothing goes stale before it
-            accepted = 0
-            if take[first]:
-                accepted = _judge_window(
-                    xs[first:].tolist(), ys[first:].tolist(),
-                    take[first:].tolist(), delta[first:].tolist(),
-                    a, values, neighbors)
-            size = min(_PROPOSAL_CHUNK, max(
-                _MIN_WINDOW, _WINDOW_ACCEPTS * xs.size // max(accepted, 1)))
+    for start in range(0, attempts, _WINDOW):
+        xs, ys = rng.integers(0, n, size=(min(_WINDOW, attempts - start), 2)).T
+        delta, d = _swap_deltas(xs, ys, values, g.indptr, g.indices, degree)
+        take = (d != 0) & (delta <= 0)
+        first = int(take.argmax())  # nothing goes stale before it
+        if take[first]:
+            _judge_window(xs[first:].tolist(), ys[first:].tolist(),
+                          take[first:].tolist(), delta[first:].tolist(),
+                          a, values, neighbors)
     return AttributeMap(values, attrs.g)

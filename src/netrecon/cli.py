@@ -34,9 +34,7 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from .attributes import AttributeMap
+from .attributes import AttributeMap, CategoryDistribution
 from .communities import modularity
 from .config import ExperimentConfig, load_config
 from .generate import realized_mixing
@@ -44,7 +42,7 @@ from .graph import Graph, load_edge_list, write_edge_list, write_partition
 from .pipeline import (STAGES, _attributes, _communities, _distribution,
                        _network, _reconstruct, _sample, _score,
                        epidemic_rows_for_point, run_pipeline, write_tables)
-from .reconstruct import MergeEvent, ReconResult, _from_log
+from .reconstruct import MergeEvent, ReconResult, ReconState, _from_log
 from .sampling import SampleForest, read_forest, read_truth, write_forest, write_truth
 
 __all__ = ["main"]
@@ -159,10 +157,12 @@ def _write_merges(log: list[MergeEvent], path) -> None:
             w.writerow([i, ev.survivor, ev.absorbed, repr(ev.probability)])
 
 
-def _read_merges(path, n_occ: int) -> list[MergeEvent]:
-    """merges.csv, the merge log of a forest of ``n_occ`` occurrences; a
-    malformed row is an error naming its line."""
-    absorbed = np.zeros(n_occ, dtype=bool)
+def _read_merges(path, forest: SampleForest,
+                 dist: CategoryDistribution) -> list[MergeEvent]:
+    """merges.csv, the merge log of ``forest``; a malformed row, or one
+    that no reconstruction could write, is an error naming its line."""
+    n_occ = forest.size
+    state = ReconState(forest, dist, n_occ)  # replays the merge rules
     log = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -176,12 +176,14 @@ def _read_merges(path, n_occ: int) -> list[MergeEvent]:
                     raise ValueError(f"group ids must lie in [0, {n_occ})")
                 if s == o:
                     raise ValueError(f"group {s} merged with itself")
-                if absorbed[s] or absorbed[o]:
-                    raise ValueError(f"group {s if absorbed[s] else o} was "
+                if not (state.alive[s] and state.alive[o]):
+                    raise ValueError(f"group {o if state.alive[s] else s} was "
                                      "absorbed by an earlier event")
                 if not 0 < prob <= 1:
                     raise ValueError(f"probability {prob!r} is outside (0, 1]")
-                absorbed[o] = True
+                if state.merge(s, o) != s:
+                    raise ValueError(f"merging groups {s} and {o} keeps group "
+                                     f"{o}, not {s}")
                 log.append(MergeEvent(s, o, prob))
         except ValueError as exc:
             raise ValueError(f"line {reader.line_num}: {exc}") from None
@@ -206,8 +208,9 @@ def cmd_reconstruct(cfg: ExperimentConfig, args) -> int:
 def _load_recon(cfg: ExperimentConfig, forest: SampleForest) -> ReconResult:
     """Rebuild the reconstruction of ``forest`` from merges.csv.  The file
     does not keep the attempt count, which reads 0."""
-    return _from_log(forest, _read(cfg, "merges.csv", _read_merges, forest.size),
-                     attempts=0)
+    log = _read(cfg, "merges.csv", _read_merges, forest,
+                _distribution(cfg, forest.g))
+    return _from_log(forest, log, attempts=0)
 
 
 def cmd_communities(cfg: ExperimentConfig, args) -> int:

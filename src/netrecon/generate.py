@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
+from .metrics import vertex_properties
 
 __all__ = ["LfrParams", "generate_lfr_like", "realized_mixing"]
 
@@ -377,14 +378,8 @@ def realized_mixing(g: Graph, partition: np.ndarray) -> float:
     in a different community; isolated vertices are excluded from the
     average.
     """
-    part = np.asarray(partition)
-    if part.shape != (g.n,):
-        raise ValueError("partition must assign a label to every vertex")
-    deg = g.degrees
+    deg, k_out, _ = vertex_properties(g, partition)
     live = deg > 0
     if not live.any():
         raise ValueError("graph has no edges")
-    rows = np.repeat(np.arange(g.n), deg)
-    cross = part[rows] != part[g.indices]
-    cross_count = np.bincount(rows, weights=cross, minlength=g.n)
-    return float((cross_count[live] / deg[live]).mean())
+    return float((k_out[live] / deg[live]).mean())

@@ -456,8 +456,8 @@ def make_assortative_reference(n, edges, values, attempts, seed):
 def make_assortative_scalar_reference(g, values, attempts, seed):
     """The shuffle judged one proposal at a time, as a list.
 
-    Same proposals as ``make_assortative``, drawn in the same 4096-row
-    chunks; each delta is summed over the neighbors of x and y from the
+    Replays the rows of one ``rng.integers(0, n, size=(attempts, 2))``
+    draw; each delta is summed over the neighbors of x and y from the
     current categories.  Linear in the degrees, so it runs on
     paper-scale graphs.
     """
@@ -470,25 +470,23 @@ def make_assortative_scalar_reference(g, values, attempts, seed):
         return a
     indptr, indices = g.indptr.tolist(), g.indices.tolist()
     neighbors = [indices[indptr[v]:indptr[v + 1]] for v in range(n)]
-    for start in range(0, attempts, 4096):
-        rows = min(4096, attempts - start)
-        for x, y in rng.integers(0, n, size=(rows, 2)).tolist():
-            cx, cy = a[x], a[y]
-            if cx == cy:  # also covers x == y
-                continue
-            # the x-y edge (if present) contributes |cx-cy| before and
-            # after, so it is excluded from both neighbor sums
-            delta = 0
-            for w in neighbors[x]:
-                if w != y:
-                    aw = a[w]
-                    delta += abs(cy - aw) - abs(cx - aw)
-            for w in neighbors[y]:
-                if w != x:
-                    aw = a[w]
-                    delta += abs(cx - aw) - abs(cy - aw)
-            if delta <= 0:
-                a[x], a[y] = cy, cx
+    for x, y in rng.integers(0, n, size=(attempts, 2)).tolist():
+        cx, cy = a[x], a[y]
+        if cx == cy:  # also covers x == y
+            continue
+        # the x-y edge (if present) contributes |cx-cy| before and
+        # after, so it is excluded from both neighbor sums
+        delta = 0
+        for w in neighbors[x]:
+            if w != y:
+                aw = a[w]
+                delta += abs(cy - aw) - abs(cx - aw)
+        for w in neighbors[y]:
+            if w != x:
+                aw = a[w]
+                delta += abs(cx - aw) - abs(cy - aw)
+        if delta <= 0:
+            a[x], a[y] = cy, cx
     return a
 
 

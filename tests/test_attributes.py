@@ -185,14 +185,14 @@ ASSORT_GRAPHS = {
 
 
 @pytest.mark.parametrize("name", sorted(ASSORT_GRAPHS))
-@pytest.mark.parametrize("attempts", [0, 1, 100, 128, 129, 300, 4095, 4096,
-                                      4097, 3 * 4096 + 5])
+@pytest.mark.parametrize("attempts", [0, 1, 100, 128, 129, 255, 256, 257, 300,
+                                      513, 4095, 4096, 4097, 3 * 4096 + 5])
 def test_make_assortative_matches_whole_graph_oracle(name, attempts):
     """Every swap decision equals the one taken from a full recount of
-    the discrepancy, over the same proposals, across the 4096-row draws
-    and the bulk windows (the first has 128 rows; 100 and 300 end inside
-    one).  The scalar reference, which the paper-scale test below relies
-    on, takes the same decisions."""
+    the discrepancy, over the same proposals, across the 256-row windows:
+    the attempts end inside a window, at its end and one row past it.
+    The scalar reference, which the paper-scale test below relies on,
+    takes the same decisions."""
     n, edges = ASSORT_GRAPHS[name]
     g = Graph.from_edges(n, edges)
     for g_cat in (4, n):

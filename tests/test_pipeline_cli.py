@@ -18,6 +18,7 @@ from netrecon.pipeline import (
     run_id_for,
     run_pipeline,
 )
+from netrecon.sampling import RESPONDENT, read_forest
 
 TINY = """
 network = lfr
@@ -483,8 +484,9 @@ def test_cli_stage_file_errors_name_the_file(tmp_path, capsys, name, step,
 
 
 def test_cli_rejects_a_malformed_merge_log(tmp_path, capsys):
-    """A merges.csv with another header, or a row that is malformed or
-    merges no two alive groups, ends the metrics and communities
+    """A merges.csv with another header, or a row that is malformed,
+    merges no two alive groups or joins two groups that no
+    reconstruction could join, ends the metrics and communities
     commands with an error naming the file and the line, not a
     traceback or wrong scores."""
     path = write_cfg(tmp_path, TINY)
@@ -495,6 +497,16 @@ def test_cli_rejects_a_malformed_merge_log(tmp_path, capsys):
     header, *rows = merges.read_text().splitlines()
     assert header == "event,survivor,absorbed,probability" and rows
     event, s, o, _ = rows[0].split(",")
+    forest = read_forest(out / "forest.txt")
+    kind, parent = forest.kind.tolist(), forest.parent.tolist()
+    lo, hi = forest.lo.tolist(), forest.hi.tolist()
+    r0, r1 = [i for i, k in enumerate(kind) if k == RESPONDENT][:2]
+    # a friend whose category may be its respondent's
+    named = next(i for i, p in enumerate(parent) if kind[i] != RESPONDENT
+                 and lo[i] <= lo[p] <= hi[i])
+    f0, f1 = next((i, j) for i in range(forest.size) for j in range(i)
+                  if RESPONDENT not in (kind[i], kind[j])
+                  and (hi[i] < lo[j] or hi[j] < lo[i]))
     capsys.readouterr()
     for lines, line, message in (
             ([header, "0,1"], 2, "expected 4, got 2"),
@@ -508,6 +520,13 @@ def test_cli_rejects_a_malformed_merge_log(tmp_path, capsys):
              f"group {o} was absorbed by an earlier event"),
             ([header, rows[0], f"1,{o},{s},0.5"], 3,
              f"group {o} was absorbed by an earlier event"),
+            ([header, f"0,{r0},{r1},0.5"], 2, "respondent groups never merge"),
+            ([header, f"0,{parent[named]},{named},0.5"], 2,
+             "merging groups that are adjacent or share a respondent"),
+            ([header, f"0,{f0},{f1},0.5"], 2,
+             "merging groups with disjoint descriptions"),
+            ([header, f"{event},{o},{s},0.5"], 2,
+             f"merging groups {o} and {s} keeps group {s}, not {o}"),
             (["event,members_a,members_b,probability", *rows], 1,
              "expected the header event,survivor,absorbed,probability")):
         merges.write_text("\n".join(lines) + "\n")
