@@ -20,6 +20,17 @@ its own open arcs, so up to 64 of them share one breadth-first
 traversal, one bit each of a uint64 word per vertex and per arc; every
 epidemic still draws its seeds and arcs from its own generator.
 
+Each level of the traversal goes one of two ways, which find the same
+next frontier (direction-optimizing BFS: Beamer, Asanovic & Patterson,
+SC 2012).  A small frontier pushes its lanes over its own arcs.  A
+frontier holding more than a quarter of the graph's arcs is pulled
+instead: every vertex ORs in, over its own row, the lanes its frontier
+neighbors send it over the reversed arcs, one pass over all arcs.  On
+the paper-scale HEAVY network at q = 0.28 most levels in the middle of
+an epidemic cover nearly every vertex, and the pull cut the traversal
+of a 64-lane block about threefold; on a long path every level is tiny,
+and pulling alone was about three times slower than pushing.
+
 Immunization strategies rank the vertices once — from the underlying
 network (the unrealistic full-knowledge baseline), at random, or from
 an ensemble of reconstructions whose vertices are projected back onto
@@ -124,7 +135,9 @@ def sir_sizes(g: Graph, immunized: np.ndarray, params: SirParams,
     its arc uniforms, in that order, from its own ``default_rng(seed)``;
     blocks of up to 64 epidemics then share one breadth-first traversal,
     bit j of a vertex's or an arc's uint64 word belonging to the block's
-    j-th epidemic.
+    j-th epidemic.  A level whose frontier holds more than a quarter of
+    the arcs pulls, the others push (see the module docstring); the
+    direction changes no size.
     """
     immune = np.zeros(g.n, dtype=bool)
     imm = np.asarray(immunized, dtype=np.int64)
@@ -141,16 +154,27 @@ def sir_sizes(g: Graph, immunized: np.ndarray, params: SirParams,
     q = 1.0 - (1.0 - params.beta) ** params.infectious_steps
     seeds = list(seeds)
     sizes = np.empty(len(seeds), dtype=np.int64)
+    # sorted by head, the arcs into each vertex come in the order of its
+    # own sorted row: from its smallest neighbor up
+    rev = np.argsort(g.indices, kind="stable")
     for lo in range(0, len(seeds), _LANES):
         block = seeds[lo:lo + _LANES]
-        sizes[lo:lo + len(block)] = _block_sizes(g, immune, pool, n_seed, q, block)
+        sizes[lo:lo + len(block)] = _block_sizes(g, immune, pool, n_seed, q,
+                                                 block, rev)
     return sizes
 
 
+def _pulls(frontier_arcs: int, n_arc: int) -> bool:
+    """Whether a level pulls: its frontier holds more than a quarter of
+    the graph's arcs."""
+    return 4 * frontier_arcs > n_arc
+
+
 def _block_sizes(g: Graph, immune: np.ndarray, pool: np.ndarray, n_seed: int,
-                 q: float, seeds: list) -> np.ndarray:
+                 q: float, seeds: list, rev: np.ndarray) -> np.ndarray:
     """The sizes of up to 64 epidemics, traversed together; bit j of
-    every vertex's and arc's word belongs to ``seeds[j]``."""
+    every vertex's and arc's word belongs to ``seeds[j]``.  Arc
+    ``rev[k]`` is arc k reversed."""
     n_arc = g.indices.size
     start = np.zeros(g.n, dtype=np.uint64)
     open_bytes = np.zeros((8, n_arc), dtype=np.uint8)  # row b: lanes 8b to 8b + 7
@@ -166,21 +190,36 @@ def _block_sizes(g: Graph, immune: np.ndarray, pool: np.ndarray, n_seed: int,
     pushed = np.zeros(g.n, dtype=np.uint64)  # zero again after every level
     slot = np.empty(g.n, dtype=np.int64)
     indptr, indices = g.indptr, g.indices
+    into = None  # the lanes open on each arc's reverse, made at the first pull
     while verts.size:
-        # the arcs of every frontier vertex and the lanes each one carries
         first = indptr[verts]
         deg = indptr[verts + 1] - first
         ends = np.cumsum(deg)
-        arcs = np.repeat(first - ends + deg, deg) + np.arange(ends[-1])
-        push = np.repeat(bits, deg) & open_w[arcs]
-        live = push != 0
-        hit, push = indices[arcs[live]], push[live]
-        np.bitwise_or.at(pushed, hit, push)
-        pos = np.arange(hit.size)
-        slot[hit] = pos
-        hit = hit[slot[hit] == pos]  # each vertex once
-        bits = pushed[hit] & ~reached[hit]
-        pushed[hit] = 0
+        if _pulls(int(ends[-1]), n_arc):
+            # every vertex ORs, over its row, the lanes that its frontier
+            # neighbors carry over their open arcs into it
+            if into is None:
+                into = open_w[rev]
+                # reduceat would read an empty row as the next one's
+                # first arc, so it only sees the non-empty rows
+                rows = np.flatnonzero(np.diff(indptr))
+            front = np.zeros(g.n, dtype=np.uint64)
+            front[verts] = bits
+            bits = (np.bitwise_or.reduceat(front[indices] & into, indptr[rows])
+                    & ~reached[rows])
+            hit = rows
+        else:
+            # the arcs of every frontier vertex and the lanes each one carries
+            arcs = np.repeat(first - ends + deg, deg) + np.arange(ends[-1])
+            push = np.repeat(bits, deg) & open_w[arcs]
+            live = push != 0
+            hit, push = indices[arcs[live]], push[live]
+            np.bitwise_or.at(pushed, hit, push)
+            pos = np.arange(hit.size)
+            slot[hit] = pos
+            hit = hit[slot[hit] == pos]  # each vertex once
+            bits = pushed[hit] & ~reached[hit]
+            pushed[hit] = 0
         live = bits != 0
         verts, bits = hit[live], bits[live]
         reached[verts] |= bits

@@ -229,18 +229,19 @@ def _havel_hakimi_edges(members: np.ndarray,
     when the remainder is not graphical.  The result is deterministic,
     so :func:`_randomize_edges` is applied afterwards.
     """
-    work = [(int(t), int(v)) for t, v in zip(targets, members) if t > 0]
+    # (-target, id): plain tuple order puts the largest target first,
+    # ties by id
+    work = [(-int(t), int(v)) for t, v in zip(targets, members) if t > 0]
     edges: list[tuple[int, int]] = []
     while work:
-        work.sort(key=lambda tv: (-tv[0], tv[1]))
+        work.sort()
         t, v = work[0]
         rest = work[1:]
-        take = min(t, len(rest))
-        for i in range(take):
+        for i in range(min(-t, len(rest))):
             tt, vv = rest[i]
-            rest[i] = (tt - 1, vv)
-            edges.append((min(v, vv), max(v, vv)))
-        work = [(tt, vv) for tt, vv in rest if tt > 0]
+            rest[i] = (tt + 1, vv)
+            edges.append((v, vv) if v < vv else (vv, v))
+        work = [tv for tv in rest if tv[0] < 0]
     return edges
 
 

@@ -21,15 +21,17 @@ run in groups that share a memo for the group's lifetime.  The metric
 tasks are grouped by (mu, repetition): every sweep point of a group
 shares one underlying network, so the group computes the network, each
 attribute map and the underlying partition once.  Each epidemic point
-is a group of its own.  One worker pool serves every group of a run at
---jobs > 1, and :func:`write_tables` writes the merged tables, for
-``run`` and the stage commands alike; the stage commands run without a
-memo.
+is a group of its own; the points all use one network, which each
+process builds once per run and drops at its end.  One worker pool
+serves every group of a run at --jobs > 1, and :func:`write_tables`
+writes the merged tables, for ``run`` and the stage commands alike; the
+stage commands run without a memo.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -118,14 +120,30 @@ def _memoized(memo: dict | None, key: tuple, build):
     return memo[key]
 
 
+@functools.lru_cache(maxsize=1)
+def _lfr(params: LfrParams) -> tuple[Graph, np.ndarray]:
+    """``generate_lfr_like(params)`` with a read-only partition, kept
+    until a call with other parameters, or until :func:`run_pipeline`
+    clears it at the start and the end of a run.  The generator is
+    looked up as a module global at each build."""
+    graph, partition = generate_lfr_like(params)
+    partition.flags.writeable = False
+    return graph, partition
+
+
 def _network(cfg: ExperimentConfig, point: SweepPoint, rep,
              memo: dict | None = None) -> tuple[Graph, np.ndarray | None]:
     """The network of (point.mu, rep) and its planted partition, which a
-    loaded edge list does not have (None)."""
+    loaded edge list does not have (None).
+
+    Groups that run one after the other in a process share the build of
+    their LFR network (see :func:`_lfr`): every epidemic group of a run
+    uses one network, so a run builds it once in each process.
+    """
     def build() -> tuple[Graph, np.ndarray | None]:
         if cfg.network == "edgelist":
             return load_edge_list(cfg.edgelist_path), None
-        return generate_lfr_like(LfrParams(
+        return _lfr(LfrParams(
             n=cfg.n, k_avg=cfg.k_avg, k_max=cfg.k_max, mu=point.mu,
             tau1=cfg.tau1, tau2=cfg.tau2, c_min=cfg.c_min, c_max=cfg.c_max,
             seed=derive_seed(cfg.seed, "generate", repr(point.mu), rep)))
@@ -429,9 +447,13 @@ def run_pipeline(cfg: ExperimentConfig, jobs: int = 1,
     for i, (group, _, _) in enumerate(tasks):
         groups.setdefault(group, []).append(i)
     results: list = [None] * len(tasks)
-    group_tables = _map_tasks(
-        _group_task,
-        [(cfg, [tasks[i][1:] for i in idx]) for idx in groups.values()], jobs)
+    _lfr.cache_clear()  # no network outlives a run
+    try:
+        group_tables = _map_tasks(
+            _group_task,
+            [(cfg, [tasks[i][1:] for i in idx]) for idx in groups.values()], jobs)
+    finally:
+        _lfr.cache_clear()
     for idx, task_tables in zip(groups.values(), group_tables):
         for i, t in zip(idx, task_tables):
             results[i] = t

@@ -164,10 +164,16 @@ class ReconState:
         self._pair: dict[tuple[int, int], int] = {}
         self._add_pairs(*_overlapping_types(self._keys))
         self.ban: list[set[int]] = [set() for _ in range(n)]
-        for g in range(n):
-            for h in self._rules(g):
-                if g < h:
-                    self._add_ban(g, h)
+        # each friend starts adjacent to its respondent alone, so the rules
+        # ban each respondent with each friend it named, and each two of
+        # those friends, wherever the payloads overlap
+        lo, hi = self.lo, self.hi
+        for r in np.flatnonzero(forest.kind == RESPONDENT).tolist():
+            named = [r] + [x for x in self.adj[r] if self.kind[x] == FRIEND]
+            for i, g in enumerate(named):
+                for h in named[:i]:
+                    if lo[h] <= hi[g] and hi[h] >= lo[g]:
+                        self._add_ban(g, h)
 
     def member_pairs(self) -> np.ndarray:
         """The alive member pairs of each type pair."""

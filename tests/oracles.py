@@ -20,9 +20,10 @@ the very same state.  Law oracles (:func:`randomize_edges_reference`,
 a rewrite is checked against them by statistical tests over many seeds.
 :func:`select_immunized_reference` is the package's former per-budget
 immunization choice, against which its one ranking per strategy is
-checked prefix by prefix.  :func:`project_reference` is the
-package's former per-vertex projection loop, which its rewrite must
-match exactly.  :func:`check_coalescer_state` checks the coalescer's
+checked prefix by prefix.  :func:`project_reference` and
+:func:`havel_hakimi_reference` are the package's former per-vertex
+projection loop and Havel-Hakimi loop, which their rewrites must match
+exactly.  :func:`check_coalescer_state` checks the coalescer's
 state after any merge against :func:`coalescing_reference`.
 """
 
@@ -513,6 +514,25 @@ def assign_communities_reference(degrees, sizes, mu, rng):
         labels[v] = c
         free[c] -= 1
     return labels
+
+
+def havel_hakimi_reference(members, targets):
+    """The largest-first Havel-Hakimi edges of ``members`` with degree
+    ``targets``: the package's former loop, sorting (target, id) pairs
+    by a key function before each step."""
+    work = [(int(t), int(v)) for t, v in zip(targets, members) if t > 0]
+    edges = []
+    while work:
+        work.sort(key=lambda tv: (-tv[0], tv[1]))
+        t, v = work[0]
+        rest = work[1:]
+        take = min(t, len(rest))
+        for i in range(take):
+            tt, vv = rest[i]
+            rest[i] = (tt - 1, vv)
+            edges.append((min(v, vv), max(v, vv)))
+        work = [(tt, vv) for tt, vv in rest if tt > 0]
+    return edges
 
 
 def randomize_edges_reference(edges, rng, rounds=10):

@@ -27,6 +27,7 @@ from netrecon import (
     sir_sizes,
     uniform_distribution,
 )
+from netrecon import epidemic
 from oracles import (
     reachable_reference,
     select_immunized_reference,
@@ -363,6 +364,19 @@ def path(n):
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def clique_with_tail(k, tail):
+    """A k-clique with a path of ``tail`` more vertices hanging off its
+    last vertex, the hub."""
+    tail_edges = [(v, v + 1) for v in range(k - 1, k + tail - 1)]
+    return Graph.from_edges(k + tail, list(combinations(range(k), 2)) + tail_edges)
+
+
+def spread(g):
+    """``g`` on the odd ids 2v + 1, with an isolated vertex at every even
+    id: an empty CSR row before, between and after the others."""
+    return Graph.from_edges(2 * g.n + 1, 2 * g.edges() + 1)
+
+
 def top_degrees(g, k):
     return np.argsort(-g.degrees, kind="stable")[:k]
 
@@ -374,6 +388,8 @@ LANE_CASES = {
     "duplicate-immunized": (lambda h: h, lambda g: [3, 3, 700, 3, 700, 1459], {}),
     "isolated-vertices": (lambda h: Graph.from_edges(h.n + 40, h.edges()),
                           lambda g: top_degrees(g, 15), dict(init_frac=0.01)),
+    "spread-hub-immunized": (lambda h: spread(h), lambda g: top_degrees(g, 1),
+                             dict(init_frac=0.005)),
     "beta-0": (lambda h: h, lambda g: top_degrees(g, 15), dict(beta=0.0)),
     "beta-1": (lambda h: h, lambda g: top_degrees(g, 15), dict(beta=1.0)),
     "no-arcs": (lambda h: Graph.from_edges(50, []), lambda g: [4, 9],
@@ -382,24 +398,79 @@ LANE_CASES = {
     "path-5000": (lambda h: path(5000),
                   lambda g: [0, 300, 1000, 1700, 2900, 3200, 4600],
                   dict(init_frac=1 / 5000, beta=1.0)),
+    # 12 seeds of 40 hold 468 of the 1560 arcs: every level pulls
+    "complete-40": (lambda h: clique_with_tail(40, 0), lambda g: [],
+                    dict(init_frac=0.3, beta=1.0)),
+    # the clique level pulls, the tail levels push
+    "clique-tail": (lambda h: clique_with_tail(30, 300), lambda g: [],
+                    dict(init_frac=1 / 330, beta=1.0)),
+    "spread-clique-tail-hub-immunized": (
+        lambda h: spread(clique_with_tail(30, 300)), lambda g: top_degrees(g, 1),
+        dict(init_frac=2 / 661, beta=0.7)),
 }
+
+# the directions the levels of a case take: pull (True) and push (False)
+DIRECTIONS = {"path-5000": {False}, "complete-40": {True},
+              "clique-tail": {False, True}, "heavy": {False, True}}
+
+
+@pytest.fixture(scope="module")
+def lanes(heavy):
+    """case -> (graph, immunized, parameters, seeds, the size a
+    breadth-first search per epidemic finds from each seed's draws),
+    computed once per case."""
+    made = {}
+
+    def get(case):
+        if case not in made:
+            graph_of, immunized_of, params = LANE_CASES[case]
+            g = graph_of(heavy)
+            immunized = np.asarray(immunized_of(g), dtype=np.int64)
+            p = SirParams(**params)
+            seeds = [derive_seed(11, "lanes", i) for i in range(130)]
+            ref = [sir_bfs_reference(g.indptr, g.indices, immunized, p.init_frac,
+                                     p.beta, p.infectious_steps, s)
+                   for s in seeds]
+            made[case] = g, immunized, p, seeds, ref
+        return made[case]
+    return get
 
 
 @pytest.mark.parametrize("case", sorted(LANE_CASES))
-def test_sir_sizes_match_the_per_run_bfs(heavy, case):
+def test_sir_sizes_match_the_per_run_bfs(lanes, case, monkeypatch):
     """Every lane of the bit-parallel traversal gives its own epidemic's
     size, the one a breadth-first search per epidemic finds from the same
-    draws, for blocks of 64 lanes, partial blocks and a lone run."""
-    graph_of, immunized_of, params = LANE_CASES[case]
-    g = graph_of(heavy)
-    immunized = np.asarray(immunized_of(g), dtype=np.int64)
-    p = SirParams(**params)
-    seeds = [derive_seed(11, "lanes", i) for i in range(130)]
-    ref = [sir_bfs_reference(g.indptr, g.indices, immunized, p.init_frac,
-                             p.beta, p.infectious_steps, s) for s in seeds]
+    draws, for blocks of 64 lanes, partial blocks and a lone run.  The
+    levels of a path only push, those of a complete graph at beta = 1
+    only pull, and a clique with a long tail takes both."""
+    g, immunized, p, seeds, ref = lanes(case)
+    taken, rule = set(), epidemic._pulls
+
+    def pulls(frontier_arcs, n_arc):
+        pull = rule(frontier_arcs, n_arc)
+        taken.add(pull)
+        return pull
+
+    monkeypatch.setattr(epidemic, "_pulls", pulls)
     for k in (1, 63, 64, 65, 130):
         assert sir_sizes(g, immunized, p, seeds[:k]).tolist() == ref[:k], k
     assert sir_run(g, immunized, p, seeds[5]) == ref[5]
+    if case in DIRECTIONS:
+        assert taken == DIRECTIONS[case]
+
+
+@pytest.mark.parametrize("direction", ["push", "pull"])
+@pytest.mark.parametrize("case", sorted(LANE_CASES))
+def test_each_direction_alone_matches_the_per_run_bfs(lanes, case, direction,
+                                                      monkeypatch):
+    """Pushing every level, or pulling every level, gives every lane the
+    size of its own breadth-first search: the two directions find the
+    same next frontier."""
+    g, immunized, p, seeds, ref = lanes(case)
+    monkeypatch.setattr(epidemic, "_pulls",
+                        lambda frontier_arcs, n_arc: direction == "pull")
+    for k in (1, 65):
+        assert sir_sizes(g, immunized, p, seeds[:k]).tolist() == ref[:k], k
 
 
 @st.composite

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2_contingency
 
-from netrecon import LfrParams, generate_lfr_like, realized_mixing
+from netrecon import LfrParams, generate, generate_lfr_like, realized_mixing
 from netrecon.generate import (REPAIR_PASSES, SWAP_ROUNDS, _assign_communities,
-                                _match_stubs, _randomize_edges)
-from oracles import (assign_communities_reference, match_stubs_reference,
-                     randomize_edges_reference)
+                                _havel_hakimi_edges, _match_stubs, _randomize_edges)
+from oracles import (assign_communities_reference, havel_hakimi_reference,
+                     match_stubs_reference, randomize_edges_reference)
 
 PARAMS = LfrParams(n=400, k_avg=8, k_max=25, mu=0.2, tau1=2.5, tau2=1.0,
                    c_min=10, c_max=40, seed=0)
@@ -223,3 +223,39 @@ def test_match_stubs_keeps_the_pair_loop(seed, communities):
     edges = _match_stubs(stubs, rng, labels=labels)
     assert edges == match_stubs_reference(stubs, ref_rng, labels, REPAIR_PASSES)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+HEAVY = LfrParams(n=1460, k_avg=10, k_max=100, mu=0.2, tau1=2.5, tau2=1.0,
+                  c_min=10, c_max=50, seed=1)
+
+
+@pytest.mark.parametrize("params", [PARAMS, HEAVY], ids=["n400", "heavy"])
+def test_havel_hakimi_keeps_the_former_loop_on_every_community(params,
+                                                               monkeypatch):
+    """Sorting (-target, id) tuples plainly gives the same edges, in the
+    same order, as the former key-function sort, on the internal degree
+    targets of every community of a generated network."""
+    seen = []
+
+    def checked(members, targets):
+        edges = _havel_hakimi_edges(members, targets)
+        assert edges == havel_hakimi_reference(members, targets)
+        seen.append(len(edges))
+        return edges
+
+    monkeypatch.setattr(generate, "_havel_hakimi_edges", checked)
+    generate_lfr_like(params)
+    assert len(seen) > 10 and sum(seen) > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_havel_hakimi_keeps_the_former_loop_on_any_targets(data):
+    """Equal edges for arbitrary targets over arbitrary distinct ids,
+    non-graphical sequences and zero targets included."""
+    ids = data.draw(st.lists(st.integers(0, 10**6), unique=True, max_size=25))
+    targets = np.array(data.draw(st.lists(st.integers(0, 30), min_size=len(ids),
+                                          max_size=len(ids))), dtype=np.int64)
+    members = np.array(ids, dtype=np.int64)
+    assert (_havel_hakimi_edges(members, targets)
+            == havel_hakimi_reference(members, targets))

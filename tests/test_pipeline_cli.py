@@ -13,6 +13,7 @@ from netrecon.pipeline import (
     EPIDEMIC_HEADER,
     ERROR_HEADER,
     METRIC_HEADER,
+    PARAM_HEADER,
     STAGES,
     metric_rows_for_point,
     run_id_for,
@@ -320,6 +321,30 @@ def test_failed_artifact_is_not_memoized(tmp_path, monkeypatch):
     assert {(r[-2], r[-1]) for r in errors} == {("setup", "generator down")}
     assert len(calls) == len(expected)
     assert read_table(written["precision"]) == [METRIC_HEADER]
+
+
+def test_each_run_generates_its_network_once(tmp_path, monkeypatch):
+    """The epidemic groups of two n_t_frac values share one generated
+    network; the next run generates it again, even when a build made
+    outside a run is still cached, nothing of it is kept after a run,
+    and --jobs 2 writes the same tables."""
+    gen = []
+    monkeypatch.setattr(pipeline, "generate_lfr_like",
+                        counting(gen, pipeline.generate_lfr_like))
+    text = EPI + "n_t_rule = fraction-of-n\nn_t_frac = 0.1, 0.2\n"
+    cfg, first = run_tiny(tmp_path, text, "a", stage="epidemic")
+    assert len(cfg.n_t_frac_axis()) == 2 and len(gen) == 1
+    assert pipeline._lfr.cache_info().currsize == 0
+    _, partition = pipeline._lfr(*gen[0][0])  # shared, so read-only
+    assert not partition.flags.writeable
+    _, second = run_tiny(tmp_path, text, "b", stage="epidemic")
+    assert len(gen) == 3 and gen[0][0] == gen[2][0]
+    _, jobs2 = run_tiny(tmp_path, text, "c", stage="epidemic", jobs=2)
+    rows = read_table(first["epidemic"])[1:]
+    assert {r[PARAM_HEADER.index("n_t_frac")] for r in rows} == {"0.1", "0.2"}
+    for name in first:
+        assert (read_table(first[name]) == read_table(second[name])
+                == read_table(jobs2[name])), name
 
 
 def test_edge_list_is_reread_on_every_run(tmp_path):
