@@ -17,11 +17,13 @@ of :mod:`netrecon.pipeline` that ``run`` calls (at repetition 0), and
 writes the result, so chaining them reproduces the corresponding rows
 of a full ``run``.  attributes.txt and forest.txt start with a ``# g N``
 line, and a stage refuses a file whose g is not the config's.
-merges.csv, headed ``event,survivor,absorbed,probability``, holds one
-merge per line: the group ``survivor`` absorbed the group ``absorbed``,
-each group named by the occurrence id it started from.  The later
-stages rebuild the reconstruction from forest.txt and merges.csv alone;
-recon.edges and provenance.txt are written for inspection only.
+merges.csv, headed ``event,survivor,absorbed,probability,attempts``, is
+the merge log, one merge per line (see
+:func:`netrecon.reconstruct.write_merges`).  The later stages rebuild
+the reconstruction from forest.txt, truth.txt and merges.csv, replaying
+the log at the run's n_t, and refuse a log that no reconstruction of
+the forest to that size could write; recon.edges and provenance.txt are
+written for inspection only.
 ``epidemic`` reads no file: it builds its network and attributes from
 the config.
 """
@@ -29,20 +31,19 @@ the config.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import replace
 
-from .attributes import AttributeMap, CategoryDistribution
+from .attributes import AttributeMap
 from .communities import modularity
 from .config import ExperimentConfig, load_config
 from .generate import realized_mixing
 from .graph import Graph, load_edge_list, write_edge_list, write_partition
 from .pipeline import (STAGES, _attributes, _communities, _distribution,
-                       _network, _reconstruct, _sample, _score,
+                       _network, _reconstruct, _sample, _score, _target_size,
                        epidemic_rows_for_point, run_pipeline, write_tables)
-from .reconstruct import MergeEvent, ReconResult, ReconState, _from_log
+from .reconstruct import ReconResult, read_merges, write_merges
 from .sampling import SampleForest, read_forest, read_truth, write_forest, write_truth
 
 __all__ = ["main"]
@@ -146,50 +147,6 @@ def _load_forest(cfg: ExperimentConfig, point):
     return replace(forest, truth=truth)
 
 
-MERGES_HEADER = ["event", "survivor", "absorbed", "probability"]
-
-
-def _write_merges(log: list[MergeEvent], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(MERGES_HEADER)
-        for i, ev in enumerate(log):
-            w.writerow([i, ev.survivor, ev.absorbed, repr(ev.probability)])
-
-
-def _read_merges(path, forest: SampleForest,
-                 dist: CategoryDistribution) -> list[MergeEvent]:
-    """merges.csv, the merge log of ``forest``; a malformed row, or one
-    that no reconstruction could write, is an error naming its line."""
-    n_occ = forest.size
-    state = ReconState(forest, dist, n_occ)  # replays the merge rules
-    log = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            if next(reader, None) != MERGES_HEADER:
-                raise ValueError(f"expected the header {','.join(MERGES_HEADER)}")
-            for row in reader:
-                _, s, o, prob = row
-                s, o, prob = int(s), int(o), float(prob)
-                if not (0 <= s < n_occ and 0 <= o < n_occ):
-                    raise ValueError(f"group ids must lie in [0, {n_occ})")
-                if s == o:
-                    raise ValueError(f"group {s} merged with itself")
-                if not (state.alive[s] and state.alive[o]):
-                    raise ValueError(f"group {o if state.alive[s] else s} was "
-                                     "absorbed by an earlier event")
-                if not 0 < prob <= 1:
-                    raise ValueError(f"probability {prob!r} is outside (0, 1]")
-                if state.merge(s, o) != s:
-                    raise ValueError(f"merging groups {s} and {o} keeps group "
-                                     f"{o}, not {s}")
-                log.append(MergeEvent(s, o, prob))
-        except ValueError as exc:
-            raise ValueError(f"line {reader.line_num}: {exc}") from None
-    return log
-
-
 def cmd_reconstruct(cfg: ExperimentConfig, args) -> int:
     point = _single_point(cfg)
     forest = _load_forest(cfg, point)
@@ -199,18 +156,18 @@ def cmd_reconstruct(cfg: ExperimentConfig, args) -> int:
     _write_results(cfg, {"errors": errors})
     write_edge_list(result.graph, _out_path(cfg, "recon.edges"))
     write_partition(result.provenance, _out_path(cfg, "provenance.txt"))
-    _write_merges(result.log, _out_path(cfg, "merges.csv"))
+    write_merges(result.log, _out_path(cfg, "merges.csv"))
     print(f"vertices={result.graph.n} edges={result.graph.m} "
           f"merges={len(result.log)} attempts={result.attempts}")
     return 0
 
 
-def _load_recon(cfg: ExperimentConfig, forest: SampleForest) -> ReconResult:
-    """Rebuild the reconstruction of ``forest`` from merges.csv.  The file
-    does not keep the attempt count, which reads 0."""
-    log = _read(cfg, "merges.csv", _read_merges, forest,
-                _distribution(cfg, forest.g))
-    return _from_log(forest, log, attempts=0)
+def _load_recon(cfg: ExperimentConfig, point, n: int,
+                forest: SampleForest) -> ReconResult:
+    """Rebuild the reconstruction of ``forest``, sampled from a network of
+    ``n`` vertices, from merges.csv."""
+    return _read(cfg, "merges.csv", read_merges, forest,
+                 _distribution(cfg, point.g), _target_size(cfg, point, n, forest))
 
 
 def cmd_communities(cfg: ExperimentConfig, args) -> int:
@@ -221,8 +178,7 @@ def cmd_communities(cfg: ExperimentConfig, args) -> int:
     print(f"network: {labels.max() + 1} communities, "
           f"modularity={modularity(graph, labels):.4f}")
     if os.path.exists(os.path.join(cfg.out, "merges.csv")):
-        forest = _read(cfg, "forest.txt", read_forest, g=point.g)
-        rgraph = _load_recon(cfg, forest).graph
+        rgraph = _load_recon(cfg, point, graph.n, _load_forest(cfg, point)).graph
         rlabels = _communities(cfg, point, 0, rgraph, "recon")
         write_partition(rlabels, _out_path(cfg, "communities_recon.txt"))
         print(f"reconstruction: {rlabels.max() + 1} communities, "
@@ -234,8 +190,9 @@ def cmd_metrics(cfg: ExperimentConfig, args) -> int:
     """Score the artifacts in the output directory (single point, rep 0)."""
     point = _single_point(cfg)
     forest = _load_forest(cfg, point)
-    count = _write_results(cfg, _score(cfg, point, 0, _load_network(cfg), forest,
-                                       _load_recon(cfg, forest)))
+    graph = _load_network(cfg)
+    count = _write_results(cfg, _score(cfg, point, 0, graph, forest,
+                                       _load_recon(cfg, point, graph.n, forest)))
     print(f"wrote {count} metric rows")
     return 0
 

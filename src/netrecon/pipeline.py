@@ -19,10 +19,10 @@ matter, and --jobs only changes wall time, never content.
 Each task returns its rows by table name (:data:`TABLES`).  The tasks
 run in groups that share a memo for the group's lifetime.  The metric
 tasks are grouped by (mu, repetition): every sweep point of a group
-shares one underlying network, so the group computes the network, each
-attribute map and the underlying partition once.  Each epidemic point
-is a group of its own; the points all use one network, which each
-process builds once per run and drops at its end.  One worker pool
+shares one underlying network, so the group computes each attribute
+map and the underlying partition once.  Each epidemic point is a group
+of its own.  A network is built, or read, once per run and process,
+and dropped at the run's end (:func:`_network_of`).  One worker pool
 serves every group of a run at --jobs > 1, and :func:`write_tables`
 writes the merged tables, for ``run`` and the stage commands alike; the
 stage commands run without a memo.
@@ -121,33 +121,35 @@ def _memoized(memo: dict | None, key: tuple, build):
 
 
 @functools.lru_cache(maxsize=1)
-def _lfr(params: LfrParams) -> tuple[Graph, np.ndarray]:
-    """``generate_lfr_like(params)`` with a read-only partition, kept
-    until a call with other parameters, or until :func:`run_pipeline`
-    clears it at the start and the end of a run.  The generator is
-    looked up as a module global at each build."""
-    graph, partition = generate_lfr_like(params)
-    partition.flags.writeable = False
-    return graph, partition
+def _network_of(source: LfrParams | str) -> tuple[Graph, np.ndarray | None]:
+    """The network built from ``source``, LFR parameters or an edge-list
+    path, and its planted partition, read-only, which a loaded edge list
+    does not have (None).
 
-
-def _network(cfg: ExperimentConfig, point: SweepPoint, rep,
-             memo: dict | None = None) -> tuple[Graph, np.ndarray | None]:
-    """The network of (point.mu, rep) and its planted partition, which a
-    loaded edge list does not have (None).
-
-    Groups that run one after the other in a process share the build of
-    their LFR network (see :func:`_lfr`): every epidemic group of a run
-    uses one network, so a run builds it once in each process.
+    Kept until a call with another source, or until :func:`run_pipeline`
+    clears it at the start and the end of a run, so each run builds or
+    reads a network once per process and follows the file's content at
+    the time of the run.  A build that raises keeps nothing.  The
+    generator and the reader are looked up as module globals at each
+    build.
     """
-    def build() -> tuple[Graph, np.ndarray | None]:
-        if cfg.network == "edgelist":
-            return load_edge_list(cfg.edgelist_path), None
-        return _lfr(LfrParams(
-            n=cfg.n, k_avg=cfg.k_avg, k_max=cfg.k_max, mu=point.mu,
-            tau1=cfg.tau1, tau2=cfg.tau2, c_min=cfg.c_min, c_max=cfg.c_max,
-            seed=derive_seed(cfg.seed, "generate", repr(point.mu), rep)))
-    return _memoized(memo, ("network", point.mu, rep), build)
+    if isinstance(source, LfrParams):
+        graph, partition = generate_lfr_like(source)
+        partition.flags.writeable = False
+        return graph, partition
+    return load_edge_list(source), None
+
+
+def _network(cfg: ExperimentConfig, point: SweepPoint,
+             rep) -> tuple[Graph, np.ndarray | None]:
+    """The network of (point.mu, rep) and its planted partition, which a
+    loaded edge list does not have (None); see :func:`_network_of`."""
+    if cfg.network == "edgelist":
+        return _network_of(cfg.edgelist_path)
+    return _network_of(LfrParams(
+        n=cfg.n, k_avg=cfg.k_avg, k_max=cfg.k_max, mu=point.mu,
+        tau1=cfg.tau1, tau2=cfg.tau2, c_min=cfg.c_min, c_max=cfg.c_max,
+        seed=derive_seed(cfg.seed, "generate", repr(point.mu), rep)))
 
 
 def _distribution(cfg: ExperimentConfig, g: int) -> CategoryDistribution:
@@ -205,23 +207,30 @@ def _sample(cfg: ExperimentConfig, point: SweepPoint, rep, graph: Graph,
                                       point.f, rep))
 
 
+def _target_size(cfg: ExperimentConfig, point: SweepPoint, n: int,
+                 forest: SampleForest) -> int:
+    """The n_t of ``forest``, sampled from a network of ``n`` vertices:
+    the true network size, read off the forest's truth, or the
+    fraction-of-n target capped at the forest size; never below the
+    respondent count."""
+    _, n_t = _sizes(cfg, point, n)
+    n_t = forest.n_t if n_t is None else min(n_t, forest.size)
+    return max(n_t, forest.n_r)
+
+
 def _reconstruct(cfg: ExperimentConfig, point: SweepPoint, rep, n: int,
                  forest: SampleForest, dist: CategoryDistribution,
                  errors: list) -> ReconResult:
-    """Coalesce ``forest`` (sampled from a network of ``n`` vertices).
+    """Coalesce ``forest`` (sampled from a network of ``n`` vertices) to
+    its :func:`_target_size`.
 
-    The target size is the true network size, read off the forest's
-    truth, or the fraction-of-n target capped at the forest size; it
-    never drops below the respondent count.  The reconstruction itself
-    only sees the forest without its truth.  A stalled reconstruction is
-    recorded in ``errors`` and its partial result is returned — what was
-    coalesced so far is still a network.
+    The reconstruction itself only sees the forest without its truth.  A
+    stalled reconstruction is recorded in ``errors`` and its partial
+    result is returned — what was coalesced so far is still a network.
     """
-    _, n_t_target = _sizes(cfg, point, n)
-    n_t = forest.n_t if n_t_target is None else min(n_t_target, forest.size)
-    n_t = max(n_t, forest.n_r)
     try:
-        return reconstruct(forest.without_truth(), dist, n_t,
+        return reconstruct(forest.without_truth(), dist,
+                           _target_size(cfg, point, n, forest),
                            derive_seed(cfg.seed, "reconstruct", point.key(), rep))
     except ReconstructionStalled as exc:
         errors.append(_param_cells(cfg, point, rep) + ["reconstruct", str(exc)])
@@ -294,13 +303,13 @@ def metric_rows_for_point(cfg: ExperimentConfig, point: SweepPoint, rep: int,
     """One repetition's precision/community/rank/error rows, by table.
 
     ``memo``, shared by the points of one (mu, rep) group, keeps the
-    network, the attribute maps and the underlying vertex properties
-    between them; each is keyed on the values its seed uses, so the
-    rows are the same with or without it.
+    attribute maps and the underlying vertex properties between them;
+    each is keyed on the values its seed uses, so the rows are the same
+    with or without it.
     """
     tables = _tables("metrics")
     try:
-        graph, _ = _network(cfg, point, rep, memo)
+        graph, _ = _network(cfg, point, rep)
         attrs, dist = _attributes(cfg, point, rep, graph, memo)
         forest = _sample(cfg, point, rep, graph, attrs)
         result = _reconstruct(cfg, point, rep, graph.n, forest, dist,
@@ -335,7 +344,7 @@ def epidemic_rows_for_point(cfg: ExperimentConfig, method: str,
     point = _pinned_point(cfg, method, n_t_frac)
     cells = _param_cells(cfg, point, 0)
     try:
-        graph, _ = _network(cfg, point, 0, memo)
+        graph, _ = _network(cfg, point, 0)
         attrs, dist = _attributes(cfg, point, 0, graph, memo)
         ensemble: list[Graph] = []
         projections: list[np.ndarray] = []
@@ -447,13 +456,13 @@ def run_pipeline(cfg: ExperimentConfig, jobs: int = 1,
     for i, (group, _, _) in enumerate(tasks):
         groups.setdefault(group, []).append(i)
     results: list = [None] * len(tasks)
-    _lfr.cache_clear()  # no network outlives a run
+    _network_of.cache_clear()  # no network outlives a run
     try:
         group_tables = _map_tasks(
             _group_task,
             [(cfg, [tasks[i][1:] for i in idx]) for idx in groups.values()], jobs)
     finally:
-        _lfr.cache_clear()
+        _network_of.cache_clear()
     for idx, task_tables in zip(groups.values(), group_tables):
         for i, t in zip(idx, task_tables):
             results[i] = t

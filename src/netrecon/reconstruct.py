@@ -38,17 +38,19 @@ pair then picks a uniform member of each of its two types, and draws
 both again while they are one group or banned; every unbanned member
 pair of k is equally likely, so each pair falls with p / Σp.  The run
 stalls when no type pair with p_k > 0 has an unbanned member pair left,
-which the integer counts decide exactly.
+that is when Σ p_k (pairs_k − banned_k) is 0: a positive p_k times an
+integer ≥ 1 stays positive, so the float sum decides it exactly.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .attributes import CategoryDistribution
-from .graph import Graph
+from .graph import Graph, open_text
 from .sampling import FRIEND, RESPONDENT, SampleForest, coalesced_network
 
 __all__ = [
@@ -57,42 +59,51 @@ __all__ = [
     "ReconState",
     "ReconstructionStalled",
     "log_provenance",
+    "read_merges",
     "reconstruct",
+    "write_merges",
 ]
 
 @dataclass(frozen=True)
 class MergeEvent:
     """One accepted merge: the group ``survivor`` absorbed the group
-    ``absorbed``, a draw of merge probability ``probability``.
+    ``absorbed``, a pair of merge probability ``probability``, after
+    ``attempts`` candidate-pair draws, the accepted one included.
 
     A group is named by the occurrence id it started from, and keeps
     that id while it absorbs others, so a log of these events, replayed
     from singleton groups, tells every group's members at every step.
+    ``attempts`` is the draw count that drawing pairs uniformly and
+    accepting each with its probability would have made; it is drawn,
+    as Geometric(Σp / |candidates|), and limits nothing.
     """
 
     survivor: int
     absorbed: int
     probability: float
+    attempts: int
 
 
 @dataclass(frozen=True)
 class ReconResult:
     """A reconstructed network.
 
-    ``log`` lists the merge events in order, and is the record the other
-    fields but ``attempts`` derive from: ``provenance[occ]`` gives the
+    ``log`` lists the merge events in order, and is the record every
+    other field derives from: ``provenance[occ]`` gives the
     reconstructed vertex each forest occurrence ended up in (see
-    :func:`log_provenance`), and ``graph`` is the coalesced simple graph
-    of the forest under it.  ``attempts`` counts the
-    candidate-pair draws that drawing pairs uniformly and accepting each
-    with its probability would have made, rejected ones included.  It
-    is drawn, one geometric variate per merge, and limits nothing.
+    :func:`log_provenance`), ``graph`` is the coalesced simple graph of
+    the forest under it, and :attr:`attempts` sums the events' attempts.
     """
 
     graph: Graph
     provenance: np.ndarray
     log: list[MergeEvent]
-    attempts: int
+
+    @property
+    def attempts(self) -> int:
+        """The candidate-pair draws of the whole run, rejected ones
+        included: the sum of the events' attempts."""
+        return sum(ev.attempts for ev in self.log)
 
 
 class ReconstructionStalled(RuntimeError):
@@ -360,10 +371,83 @@ def log_provenance(n_occ: int, log: list[MergeEvent]) -> np.ndarray:
     return (np.cumsum(alive) - 1)[group]
 
 
-def _from_log(forest: SampleForest, log: list[MergeEvent], attempts: int) -> ReconResult:
+def _from_log(forest: SampleForest, log: list[MergeEvent]) -> ReconResult:
     """The reconstruction of ``forest`` that ``log`` records."""
     prov = log_provenance(forest.size, log)
-    return ReconResult(coalesced_network(forest, prov), prov, log, attempts)
+    return ReconResult(coalesced_network(forest, prov), prov, log)
+
+
+MERGES_HEADER = ["event", "survivor", "absorbed", "probability", "attempts"]
+
+
+def write_merges(log: list[MergeEvent], target) -> None:
+    """Write ``log`` as merges.csv, to a path or an open text stream.
+
+    The file is headed ``event,survivor,absorbed,probability,attempts``
+    and holds one line per event, in order: event i says that the group
+    ``survivor`` absorbed the group ``absorbed``, each named by the
+    occurrence id it started from, with that merge probability (written
+    by ``repr``, so it reads back bit for bit), after that many
+    candidate-pair draws.
+
+    :func:`read_merges` replays the file through the coalescer.  It
+    refuses another header, a malformed row, an event after the log
+    reached the target size, a group id outside the forest, a group
+    merged with itself or with a group an earlier event absorbed,
+    attempts below 1, a merge that the coalescer's rules refuse (two
+    respondents, two groups that are adjacent or share a respondent, two
+    groups with disjoint descriptions) or whose survivor is not the group
+    the merge keeps, a pair of merge probability 0, and a probability
+    other than the replayed pair's.
+    """
+    with open_text(target, "w") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(MERGES_HEADER)
+        w.writerows([i, ev.survivor, ev.absorbed, repr(ev.probability), ev.attempts]
+                    for i, ev in enumerate(log))
+
+
+def read_merges(source, forest: SampleForest, dist: CategoryDistribution,
+                n_t: int) -> ReconResult:
+    """The reconstruction of ``forest`` to ``n_t`` vertices that the
+    merges.csv in ``source`` records (see :func:`write_merges`).  Each
+    event is replayed through a :class:`ReconState` with the run's
+    ``dist`` and ``n_t``; one that no such reconstruction could write is
+    an error naming its line."""
+    state = ReconState(forest, dist, n_t)
+    log = []
+    with open_text(source) as fh:
+        reader = csv.reader(fh)
+        try:
+            if next(reader, None) != MERGES_HEADER:
+                raise ValueError(f"expected the header {','.join(MERGES_HEADER)}")
+            for row in reader:
+                _, s, o, prob, attempts = row
+                s, o, prob, attempts = int(s), int(o), float(prob), int(attempts)
+                if state.n_alive <= n_t:
+                    raise ValueError(f"the log already reached the target size {n_t}")
+                if not (0 <= s < forest.size and 0 <= o < forest.size):
+                    raise ValueError(f"group ids must lie in [0, {forest.size})")
+                if s == o:
+                    raise ValueError(f"group {s} merged with itself")
+                if not (state.alive[s] and state.alive[o]):
+                    raise ValueError(f"group {o if state.alive[s] else s} was "
+                                     "absorbed by an earlier event")
+                if attempts < 1:
+                    raise ValueError(f"attempts {attempts} is below 1")
+                p = state.pair_probability(s, o)
+                if state.merge(s, o) != s:
+                    raise ValueError(f"merging groups {s} and {o} keeps group "
+                                     f"{o}, not {s}")
+                if not p:
+                    raise ValueError(f"groups {s} and {o} merge with probability 0")
+                if prob != p:
+                    raise ValueError(f"probability {prob!r} is not the replayed "
+                                     f"merge probability {p!r}")
+                log.append(MergeEvent(s, o, prob, attempts))
+        except ValueError as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
+    return _from_log(forest, log)
 
 
 def _draw(cum: np.ndarray, u: float) -> int:
@@ -384,12 +468,13 @@ def reconstruct(forest: SampleForest, dist: CategoryDistribution, n_t: int,
     probability times its unbanned member pairs, then a uniform unbanned
     member pair of it.  That is the law of drawing candidate pairs
     uniformly and accepting each with probability p; the attempts that
-    process would make are drawn as Geometric(Σp / |candidates|) per
-    merge.  Stops when the group count reaches ``n_t``.
+    process would make are drawn as Geometric(Σp / |candidates|) and
+    kept on each merge's event.  Stops when the group count reaches
+    ``n_t``.
 
     Raises :class:`ReconstructionStalled` — carrying the partial result —
     at once when no candidate pair is left or none has a positive
-    probability; ``attempts`` then counts the draws made so far.
+    probability.
     """
     n = forest.size
     n_resp = forest.n_r
@@ -402,18 +487,16 @@ def reconstruct(forest: SampleForest, dist: CategoryDistribution, n_t: int,
     state = ReconState(forest, dist, n_t)
     rng = np.random.default_rng(seed)
     log: list[MergeEvent] = []
-    attempts = 0
     while state.n_alive > n_t:
         pairs = state.member_pairs()
-        free = pairs - state.banned
-        if not free[state.prob > 0].any():
+        cum = np.cumsum(state.prob * (pairs - state.banned))
+        if not cum[-1] > 0:
             reason = ("no candidate pairs left" if not pairs.any() else
                       "no candidate pair has positive merge probability")
             raise ReconstructionStalled(
                 f"{reason} at size {state.n_alive} (target {n_t})",
-                _from_log(forest, log, attempts))
-        cum = np.cumsum(state.prob * free)
-        attempts += int(rng.geometric(min(1.0, float(cum[-1]) / int(pairs.sum()))))
+                _from_log(forest, log))
+        attempts = int(rng.geometric(min(1.0, float(cum[-1]) / int(pairs.sum()))))
         k = _draw(cum, rng.random())
         xs, ys = state.of_type[state.ta[k]], state.of_type[state.tb[k]]
         while True:
@@ -422,5 +505,5 @@ def reconstruct(forest: SampleForest, dist: CategoryDistribution, n_t: int,
                 break
         p = float(state.prob[k])
         s = state.merge(a, b)
-        log.append(MergeEvent(s, a + b - s, p))
-    return _from_log(forest, log, attempts)
+        log.append(MergeEvent(s, a + b - s, p, attempts))
+    return _from_log(forest, log)

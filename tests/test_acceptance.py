@@ -303,10 +303,10 @@ def test_08_merge_log_precision_fixture():
     """A hand-built merge log with three same-person merges and one
     cross-person merge scores precision 3/4 exactly."""
     truth = np.array([2, 2, 23, 23, 31, 31, 27, 28])
-    log = [MergeEvent(0, 1, 1.0),
-           MergeEvent(2, 3, 0.5),
-           MergeEvent(4, 5, 0.5),
-           MergeEvent(6, 7, 0.25)]
+    log = [MergeEvent(0, 1, 1.0, 1),
+           MergeEvent(2, 3, 0.5, 1),
+           MergeEvent(4, 5, 0.5, 1),
+           MergeEvent(6, 7, 0.25, 1)]
     assert coalescing_precision(log, truth) == 0.75
 
 

@@ -35,14 +35,14 @@ def test_coalescing_precision_fixture():
     # merging occurrence pairs of persons (5,5), (7,7), (5,9): 2 of 3 right
     truth = np.array([5, 5, 7, 7, 9, 6, 8])
     log = [
-        MergeEvent(0, 1, 1.0),
-        MergeEvent(2, 3, 0.5),
-        MergeEvent(0, 4, 0.25),
+        MergeEvent(0, 1, 1.0, 1),
+        MergeEvent(2, 3, 0.5, 1),
+        MergeEvent(0, 4, 0.25, 1),
     ]
     assert coalescing_precision(log, truth) == pytest.approx(2 / 3)
     # then persons (6,8), and the two mixed groups {5,9} and {6,8}: both
     # wrong, though neither group holds one person for the two to differ by
-    log += [MergeEvent(5, 6, 0.5), MergeEvent(0, 5, 0.5)]
+    log += [MergeEvent(5, 6, 0.5, 1), MergeEvent(0, 5, 0.5, 1)]
     assert coalescing_precision(log, truth) == pytest.approx(2 / 5)
     assert coalescing_precision(log, truth) == pytest.approx(
         merge_precision_reference([FRIEND] * truth.size, log, truth))
@@ -64,7 +64,7 @@ def test_coalescing_precision_random_logs():
             if resp[i] and resp[j]:
                 continue
             s, o = (i, j) if resp[i] or (not resp[j] and i < j) else (j, i)
-            log.append(MergeEvent(s, o, 0.5))
+            log.append(MergeEvent(s, o, 0.5, 1))
             held = resp.pop(o)
             resp[s] = resp[s] or held
         if not log:

@@ -2,13 +2,14 @@
 
 import csv
 
+import numpy as np
 import pytest
 
-from netrecon import epidemic, pipeline
+from netrecon import ReconState, cli, epidemic, pipeline, uniform_distribution
 from netrecon.cli import main
 from netrecon.config import parse_config
 from netrecon.generate import LfrParams, generate_lfr_like
-from netrecon.graph import write_edge_list
+from netrecon.graph import Graph, write_edge_list
 from netrecon.pipeline import (
     EPIDEMIC_HEADER,
     ERROR_HEADER,
@@ -19,7 +20,7 @@ from netrecon.pipeline import (
     run_id_for,
     run_pipeline,
 )
-from netrecon.sampling import RESPONDENT, read_forest
+from netrecon.sampling import RESPONDENT, read_forest, read_truth
 
 TINY = """
 network = lfr
@@ -334,8 +335,8 @@ def test_each_run_generates_its_network_once(tmp_path, monkeypatch):
     text = EPI + "n_t_rule = fraction-of-n\nn_t_frac = 0.1, 0.2\n"
     cfg, first = run_tiny(tmp_path, text, "a", stage="epidemic")
     assert len(cfg.n_t_frac_axis()) == 2 and len(gen) == 1
-    assert pipeline._lfr.cache_info().currsize == 0
-    _, partition = pipeline._lfr(*gen[0][0])  # shared, so read-only
+    assert pipeline._network_of.cache_info().currsize == 0
+    _, partition = pipeline._network_of(*gen[0][0])  # shared, so read-only
     assert not partition.flags.writeable
     _, second = run_tiny(tmp_path, text, "b", stage="epidemic")
     assert len(gen) == 3 and gen[0][0] == gen[2][0]
@@ -345,6 +346,27 @@ def test_each_run_generates_its_network_once(tmp_path, monkeypatch):
     for name in first:
         assert (read_table(first[name]) == read_table(second[name])
                 == read_table(jobs2[name])), name
+
+
+def test_edge_list_run_reads_its_file_once(tmp_path, monkeypatch):
+    """Both repetitions of an edge-list run share one read of the file,
+    and nothing of it is kept after the run."""
+    path = tmp_path / "net.edges"
+    graph, _ = generate_lfr_like(LfrParams(
+        n=120, k_avg=6, k_max=15, mu=0.3, tau1=3.0, tau2=1.0, c_min=8,
+        c_max=30, seed=1))
+    write_edge_list(graph, path)
+    reads = []
+    monkeypatch.setattr(pipeline, "load_edge_list",
+                        counting(reads, pipeline.load_edge_list))
+    text = TINY.replace("network = lfr", "network = edgelist").replace(
+        "mu = 0.3", f"edgelist_path = {path}")
+    cfg, written = run_tiny(tmp_path, text, "once", stage="metrics")
+    assert cfg.repetitions == 2
+    assert [args for args, _ in reads] == [(str(path),)]
+    assert pipeline._network_of.cache_info().currsize == 0
+    rep_col = METRIC_HEADER.index("rep")
+    assert {r[rep_col] for r in read_table(written["precision"])[1:]} == {"0", "1"}
 
 
 def test_edge_list_is_reread_on_every_run(tmp_path):
@@ -403,11 +425,14 @@ def test_cli_run_and_overrides(tmp_path):
 HPM = TINY.replace("method = rpm", "method = hpm")
 
 
-@pytest.mark.parametrize("text", [
-    TINY,
-    HPM + "n_t_rule = fraction-of-n\nn_t_frac = 0.3\n",
-    HPM + "assortative = true\n",
-], ids=["rpm", "hpm-fraction-of-n", "hpm-assortative"])
+CHAIN = {"rpm": TINY,
+         "hpm-fraction-of-n": HPM + "n_t_rule = fraction-of-n\nn_t_frac = 0.3\n",
+         "hpm-assortative": HPM + "assortative = true\n"}
+# hpm at n_t = 12 stalls after 21 merges
+STALLS = HPM + "n_t_rule = fraction-of-n\nn_t_frac = 0.1\n"
+
+
+@pytest.mark.parametrize("text", CHAIN.values(), ids=CHAIN.keys())
 def test_cli_stage_chain_matches_run(tmp_path, text):
     """generate -> sample -> reconstruct -> communities -> metrics yields
     exactly the repetition-0 metric rows of the packaged sweep.  The
@@ -435,6 +460,36 @@ def test_cli_stage_chain_matches_run(tmp_path, text):
                      "truth.txt", "merges.csv", "communities_network.txt",
                      "communities_recon.txt"):
         assert (stage_dir / artifact).exists(), artifact
+
+
+@pytest.mark.parametrize("text", [*CHAIN.values(), STALLS],
+                         ids=[*CHAIN, "hpm-stalls"])
+def test_merge_log_rebuilds_the_runs_reconstruction(tmp_path, text):
+    """The reconstruction that the later stages rebuild from forest.txt,
+    truth.txt and merges.csv is, field by field, the one that the run's
+    reconstruct step returns in process: the log with each event's
+    probability and attempts, the attempts, the provenance and the
+    graph.  A stalled run's partial result comes back the same way."""
+    path = write_cfg(tmp_path, text)
+    out = tmp_path / "stages"
+    for step in ("generate", "sample", "reconstruct"):
+        assert main([step, "--config", path, "--out", str(out)]) == 0
+    cfg = parse_config(text + f"\nout = {out}\n")
+    (point,) = cfg.points()
+    graph, _ = pipeline._network(cfg, point, 0)
+    attrs, dist = pipeline._attributes(cfg, point, 0, graph)
+    forest = pipeline._sample(cfg, point, 0, graph, attrs)
+    errors = []
+    run = pipeline._reconstruct(cfg, point, 0, graph.n, forest, dist, errors)
+    assert [e[-2] for e in errors] == (["reconstruct"] if text == STALLS else [])
+    assert run.log and run.graph.n > forest.n_r
+    staged = cli._load_recon(cfg, point, graph.n, cli._load_forest(cfg, point))
+    assert staged.log == run.log
+    assert staged.attempts == run.attempts == sum(ev.attempts for ev in run.log)
+    assert staged.provenance.tolist() == run.provenance.tolist()
+    for field in Graph.__slots__:
+        a, b = getattr(staged.graph, field), getattr(run.graph, field)
+        assert np.array_equal(a, b) if a is not None else b is None, field
 
 
 def test_cli_errors(tmp_path, capsys):
@@ -510,18 +565,19 @@ def test_cli_stage_file_errors_name_the_file(tmp_path, capsys, name, step,
 
 def test_cli_rejects_a_malformed_merge_log(tmp_path, capsys):
     """A merges.csv with another header, or a row that is malformed,
-    merges no two alive groups or joins two groups that no
-    reconstruction could join, ends the metrics and communities
-    commands with an error naming the file and the line, not a
-    traceback or wrong scores."""
+    merges no two alive groups, joins two groups that no reconstruction
+    could join, carries a probability other than the replayed one or
+    attempts below 1, or follows a log that already reached n_t, ends
+    the metrics and communities commands with an error naming the file
+    and the line, not a traceback or wrong scores."""
     path = write_cfg(tmp_path, TINY)
     out = tmp_path / "stages"
     for step in ("generate", "sample", "reconstruct"):
         assert main([step, "--config", path, "--out", str(out)]) == 0
     merges = out / "merges.csv"
     header, *rows = merges.read_text().splitlines()
-    assert header == "event,survivor,absorbed,probability" and rows
-    event, s, o, _ = rows[0].split(",")
+    assert header == "event,survivor,absorbed,probability,attempts" and rows
+    event, s, o, prob, attempts = rows[0].split(",")
     forest = read_forest(out / "forest.txt")
     kind, parent = forest.kind.tolist(), forest.parent.tolist()
     lo, hi = forest.lo.tolist(), forest.hi.tolist()
@@ -532,28 +588,53 @@ def test_cli_rejects_a_malformed_merge_log(tmp_path, capsys):
     f0, f1 = next((i, j) for i in range(forest.size) for j in range(i)
                   if RESPONDENT not in (kind[i], kind[j])
                   and (hi[i] < lo[j] or hi[j] < lo[i]))
+    # the run reached n_t, the true size; one more event the merge rules
+    # allow, at its replayed probability
+    n_t = len(set(read_truth(out / "truth.txt").tolist()))
+    assert forest.size - len(rows) == n_t
+    state = ReconState(forest, uniform_distribution(20), n_t)
+    for row in rows:
+        state.merge(*map(int, row.split(",")[1:3]))
+    a, b = next((a, b) for b in range(forest.size) for a in range(b)
+                if state.pair_probability(a, b))
+    more = state.pair_probability(a, b)
+    survivor = state.merge(a, b)
+    extra = f"{len(rows)},{survivor},{a + b - survivor},{more!r},1"
+    half = float(prob) / 2
     capsys.readouterr()
     for lines, line, message in (
-            ([header, "0,1"], 2, "expected 4, got 2"),
-            ([header, "0,1,x,0.5"], 2, "invalid literal for int()"),
-            ([header, "0,,3,0.5"], 2, "invalid literal for int()"),
-            ([header, "0,1,100000,0.5"], 2, "group ids must lie in [0, "),
-            ([header, f"{event},{s},{o},0.0", *rows[1:]], 2,
-             "probability 0.0 is outside"),
-            ([header, f"0,{s},{s},0.5"], 2, f"group {s} merged with itself"),
-            ([header, rows[0], f"1,{s},{o},0.5"], 3,
+            ([header, "0,1"], 2, "expected 5, got 2"),
+            ([header, "0,1,x,0.5,1"], 2, "invalid literal for int()"),
+            ([header, "0,,3,0.5,1"], 2, "invalid literal for int()"),
+            ([header, "0,1,100000,0.5,1"], 2, "group ids must lie in [0, "),
+            ([header, f"{event},{s},{o},0.0,{attempts}", *rows[1:]], 2,
+             f"probability 0.0 is not the replayed merge probability {prob}"),
+            ([header, f"{event},{s},{o},{half!r},{attempts}", *rows[1:]], 2,
+             f"probability {half!r} is not the replayed merge probability "
+             f"{prob}"),
+            ([header, f"{event},{s},{o},{prob},0", *rows[1:]], 2,
+             "attempts 0 is below 1"),
+            ([header, f"{event},{s},{o},{prob},x", *rows[1:]], 2,
+             "invalid literal for int() with base 10: 'x'"),
+            ([header, *rows, extra], len(rows) + 2,
+             f"the log already reached the target size {n_t}"),
+            ([header, f"0,{s},{s},0.5,1"], 2, f"group {s} merged with itself"),
+            ([header, rows[0], f"1,{s},{o},0.5,1"], 3,
              f"group {o} was absorbed by an earlier event"),
-            ([header, rows[0], f"1,{o},{s},0.5"], 3,
+            ([header, rows[0], f"1,{o},{s},0.5,1"], 3,
              f"group {o} was absorbed by an earlier event"),
-            ([header, f"0,{r0},{r1},0.5"], 2, "respondent groups never merge"),
-            ([header, f"0,{parent[named]},{named},0.5"], 2,
+            ([header, f"0,{r0},{r1},0.5,1"], 2, "respondent groups never merge"),
+            ([header, f"0,{parent[named]},{named},0.5,1"], 2,
              "merging groups that are adjacent or share a respondent"),
-            ([header, f"0,{f0},{f1},0.5"], 2,
+            ([header, f"0,{f0},{f1},0.5,1"], 2,
              "merging groups with disjoint descriptions"),
-            ([header, f"{event},{o},{s},0.5"], 2,
+            ([header, f"{event},{o},{s},0.5,1"], 2,
              f"merging groups {o} and {s} keeps group {s}, not {o}"),
-            (["event,members_a,members_b,probability", *rows], 1,
-             "expected the header event,survivor,absorbed,probability")):
+            (["event,survivor,absorbed,probability",
+              *(r.rsplit(",", 1)[0] for r in rows)], 1,
+             "expected the header event,survivor,absorbed,probability,attempts"),
+            (["event,members_a,members_b,probability,attempts", *rows], 1,
+             "expected the header event,survivor,absorbed,probability,attempts")):
         merges.write_text("\n".join(lines) + "\n")
         for step in ("metrics", "communities"):
             assert main([step, "--config", path, "--out", str(out)]) == 2

@@ -1,5 +1,6 @@
 """Coalescing: pair probabilities, merge mechanics, full reconstruction."""
 
+import io
 import tracemalloc
 from collections import Counter
 
@@ -27,6 +28,7 @@ from netrecon import (
     true_network,
     uniform_distribution,
 )
+from netrecon.reconstruct import read_merges
 from netrecon.sampling import SampleForest
 
 from oracles import (check_coalescer_state, coalescing_reference,
@@ -270,7 +272,8 @@ def test_merge_log_replay_matches_provenance(sampled, checked_reconstruct):
     """Replaying the merge log from singleton groups reproduces exactly
     the grouping the provenance array reports.  Each event records the
     probability of its pair in a state stepped through the log, which
-    the oracle checks after every merge."""
+    the oracle checks after every merge, and its own attempts, which
+    the run's attempts sum."""
     g = sampled
     attrs = assign_attributes(g.n, uniform_distribution(5), seed=14)
     dist = uniform_distribution(5)
@@ -285,9 +288,10 @@ def test_merge_log_replay_matches_provenance(sampled, checked_reconstruct):
     check_coalescer_state(forest, dist, n_t, state, [])
     for ev in res.log:
         assert 0.0 < ev.probability <= 1.0
+        assert ev.attempts >= 1
         assert state.pair_probability(ev.survivor, ev.absorbed) == ev.probability
         assert state.merge(ev.absorbed, ev.survivor) == ev.survivor
-    assert res.attempts >= len(res.log)
+    assert res.attempts == sum(ev.attempts for ev in res.log)
 
 
 def test_reconstruct_stalls_when_target_unreachable(sampled):
@@ -329,7 +333,8 @@ def test_log_provenance_numbers_the_survivors_in_id_order():
     """Occurrence 4 absorbs 1, then 3 absorbs 4 and 0 absorbs 2: the
     vertices are the groups 0, 3 and 5, numbered in that order, whatever
     order the merges came in."""
-    log = [MergeEvent(4, 1, 0.5), MergeEvent(3, 4, 0.5), MergeEvent(0, 2, 0.5)]
+    log = [MergeEvent(4, 1, 0.5, 1), MergeEvent(3, 4, 0.5, 1),
+           MergeEvent(0, 2, 0.5, 1)]
     assert log_provenance(6, log).tolist() == [0, 1, 0, 1, 1, 2]
     assert log_provenance(6, log[2:] + log[:2]).tolist() == [0, 1, 0, 1, 1, 2]
     assert log_provenance(3, []).tolist() == [0, 1, 2]
@@ -686,3 +691,22 @@ def test_a_run_has_no_attempt_budget():
     res = reconstruct(forest, dist, 3, seed=0)
     assert merge_pairs(res.log) == [(1, 3)]
     assert res.attempts > 1000 * forest.size
+
+
+def test_a_merge_of_probability_zero_is_refused():
+    """Two friends of different respondents whose intervals share only a
+    category of mass 0 are a candidate pair of probability 0.  No run
+    draws it, so it stalls, and a merge log that merges the pair is
+    refused, even at its replayed probability 0.0."""
+    dist = CategoryDistribution(10, np.array([0.125] * 4 + [0.0] + [0.125] * 4 + [0.0]))
+    forest = SampleForest(tree=[0, 0, 1, 1], parent=[-1, 0, -1, 2],
+                          kind=[RESPONDENT, FRIEND, RESPONDENT, FRIEND],
+                          lo=[10, 1, 10, 5], hi=[10, 5, 10, 9], g=10)
+    assert ReconState(forest, dist, 3).pair_probability(1, 3) == 0.0
+    with pytest.raises(ReconstructionStalled, match="^no candidate pair has "
+                                                    "positive merge probability"):
+        reconstruct(forest, dist, 3, seed=0)
+    log = io.StringIO("event,survivor,absorbed,probability,attempts\n0,1,3,0.0,1\n")
+    with pytest.raises(ValueError, match=r"^line 2: groups 1 and 3 merge with "
+                                         r"probability 0$"):
+        read_merges(log, forest, dist, 3)
