@@ -134,9 +134,15 @@ class ReconState:
     g's; payloads only narrow, so a pair never overlaps again once it
     stops.
 
-    Friends are only ever adjacent to respondents, so a merge changes no
-    adjacency or shared respondent between two other groups: only the
-    bans of the two merged groups change.
+    A merge changes only the bans of the merged groups, and the
+    survivor's follow from the two groups' own.  A friend group is
+    banned with the respondents that named any of its members and with
+    their other friends; the namers of two merged friend groups are the
+    union of theirs, so the survivor's bans are the union of both bans,
+    kept where they overlap its narrowed payload (which every group that
+    overlaps it overlapped before).  A respondent is banned only with the
+    friends it named; it never absorbs one of those, and absorbing any
+    other friend leaves its exact category, and so its bans, unchanged.
     """
 
     def __init__(self, forest: SampleForest, dist: CategoryDistribution, n_t: int):
@@ -152,10 +158,6 @@ class ReconState:
         self.hi = forest.hi.tolist()
         self.alive = np.ones(n, dtype=bool)
         self.n_alive = n
-        self.adj: list[set[int]] = [set() for _ in range(n)]
-        for c, p in zip(child.tolist(), forest.parent[child].tolist()):
-            self.adj[p].add(c)
-            self.adj[c].add(p)
         # cumulative masses for O(1) interval probabilities; length g+1
         self._cum = np.concatenate([[0.0], np.cumsum(dist.p, dtype=float)])
         # the payload types, numbered in order of first appearance
@@ -175,12 +177,14 @@ class ReconState:
         self._pair: dict[tuple[int, int], int] = {}
         self._add_pairs(*_overlapping_types(self._keys))
         self.ban: list[set[int]] = [set() for _ in range(n)]
-        # each friend starts adjacent to its respondent alone, so the rules
-        # ban each respondent with each friend it named, and each two of
-        # those friends, wherever the payloads overlap
+        # the rules ban each respondent with each friend it named, and each
+        # two of those friends, wherever the payloads overlap
+        friend = child[forest.kind[child] == FRIEND]
+        by_namer: dict[int, list[int]] = {}
+        for f, r in zip(friend.tolist(), forest.parent[friend].tolist()):
+            by_namer.setdefault(r, [r]).append(f)
         lo, hi = self.lo, self.hi
-        for r in np.flatnonzero(forest.kind == RESPONDENT).tolist():
-            named = [r] + [x for x in self.adj[r] if self.kind[x] == FRIEND]
+        for named in by_namer.values():
             for i, g in enumerate(named):
                 for h in named[:i]:
                     if lo[h] <= hi[g] and hi[h] >= lo[g]:
@@ -265,31 +269,22 @@ class ReconState:
         self.prob = np.append(self.prob, np.minimum(p, 1.0))
         self.banned = np.append(self.banned, np.zeros(ta.size, dtype=np.int64))
 
-    def _rules(self, g: int) -> list[int]:
-        """The groups whose payloads overlap g's that a rule keeps apart
-        from g: its neighbors and, for a friend, its respondents' friends."""
-        near = set(self.adj[g])
-        if self.kind[g] == FRIEND:
-            near.update(x for r in self.adj[g] for x in self.adj[r]
-                        if self.kind[x] == FRIEND and x != g)
-        lo, hi, resp = self.lo[g], self.hi[g], self.kind[g] == RESPONDENT
-        return [h for h in near if self.lo[h] <= hi and self.hi[h] >= lo
-                and not (resp and self.kind[h] == RESPONDENT)]
-
     def _add_ban(self, g: int, h: int) -> None:
         self.ban[g].add(h)
         self.ban[h].add(g)
         self.banned[self._pair_of(g, h)] += 1
 
-    def _leave(self, g: int) -> None:
-        """Take group g out of its type's list and out of every ban."""
+    def _leave(self, g: int) -> set[int]:
+        """Take group g out of its type's list and out of every ban;
+        returns the bans it had."""
         t = self.type_of[g]
         self.of_type[t].remove(g)
         self.count[t] -= 1
-        for h in self.ban[g]:
+        ban, self.ban[g] = self.ban[g], set()
+        for h in ban:
             self.ban[h].discard(g)
             self.banned[self._pair_of(g, h)] -= 1
-        self.ban[g] = set()
+        return ban
 
     # -- merging ---------------------------------------------------------
 
@@ -314,21 +309,21 @@ class ReconState:
         elif self.kind[a] == FRIEND and b < a:
             a, b = b, a
         s, o = a, b  # survivor, absorbed
-        self._leave(s)
-        self._leave(o)
-        self.lo[s], self.hi[s] = max(self.lo[s], self.lo[o]), min(self.hi[s], self.hi[o])
-        for x in self.adj[o]:
-            self.adj[x].discard(o)
-            if x != s:
-                self.adj[x].add(s)
-                self.adj[s].add(x)
-        self.adj[s].discard(o)
-        self.adj[o] = set()
+        # the survivor re-enters its type's list at the end even when its
+        # type stays: the draw indexes of_type, so that order is part of
+        # the random stream
+        ban = self._leave(s)
+        ban_o = self._leave(o)
+        if self.kind[s] == FRIEND:
+            ban |= ban_o
+        lo = self.lo[s] = max(self.lo[s], self.lo[o])
+        hi = self.hi[s] = min(self.hi[s], self.hi[o])
         self.alive[o] = False
         self.n_alive -= 1
         self.type_of[s] = self._enter(s)
-        for h in self._rules(s):
-            self._add_ban(s, h)
+        for h in ban:
+            if self.lo[h] <= hi and self.hi[h] >= lo:
+                self._add_ban(s, h)
         return s
 
 
@@ -391,7 +386,8 @@ def write_merges(log: list[MergeEvent], target) -> None:
     candidate-pair draws.
 
     :func:`read_merges` replays the file through the coalescer.  It
-    refuses another header, a malformed row, an event after the log
+    refuses another header, a malformed row, an event number other than
+    the row's place in the log (0 first), an event after the log
     reached the target size, a group id outside the forest, a group
     merged with itself or with a group an earlier event absorbed,
     attempts below 1, a merge that the coalescer's rules refuse (two
@@ -422,8 +418,11 @@ def read_merges(source, forest: SampleForest, dist: CategoryDistribution,
             if next(reader, None) != MERGES_HEADER:
                 raise ValueError(f"expected the header {','.join(MERGES_HEADER)}")
             for row in reader:
-                _, s, o, prob, attempts = row
-                s, o, prob, attempts = int(s), int(o), float(prob), int(attempts)
+                event, s, o, prob, attempts = row
+                event, s, o = int(event), int(s), int(o)
+                prob, attempts = float(prob), int(attempts)
+                if event != len(log):
+                    raise ValueError(f"expected event {len(log)}, got event {event}")
                 if state.n_alive <= n_t:
                     raise ValueError(f"the log already reached the target size {n_t}")
                 if not (0 <= s < forest.size and 0 <= o < forest.size):

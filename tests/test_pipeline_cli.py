@@ -565,7 +565,7 @@ def test_cli_stage_file_errors_name_the_file(tmp_path, capsys, name, step,
 
 def test_cli_rejects_a_malformed_merge_log(tmp_path, capsys):
     """A merges.csv with another header, or a row that is malformed,
-    merges no two alive groups, joins two groups that no reconstruction
+    is numbered out of its place in the log, merges no two alive groups, joins two groups that no reconstruction
     could join, carries a probability other than the replayed one or
     attempts below 1, or follows a log that already reached n_t, ends
     the metrics and communities commands with an error naming the file
@@ -606,6 +606,11 @@ def test_cli_rejects_a_malformed_merge_log(tmp_path, capsys):
             ([header, "0,1"], 2, "expected 5, got 2"),
             ([header, "0,1,x,0.5,1"], 2, "invalid literal for int()"),
             ([header, "0,,3,0.5,1"], 2, "invalid literal for int()"),
+            ([header, f"x,{s},{o},{prob},{attempts}", *rows[1:]], 2,
+             "invalid literal for int() with base 10: 'x'"),
+            ([header, f"5,{s},{o},{prob},{attempts}", *rows[1:]], 2,
+             "expected event 0, got event 5"),
+            ([header, rows[0], rows[0]], 3, "expected event 1, got event 0"),
             ([header, "0,1,100000,0.5,1"], 2, "group ids must lie in [0, "),
             ([header, f"{event},{s},{o},0.0,{attempts}", *rows[1:]], 2,
              f"probability 0.0 is not the replayed merge probability {prob}"),

@@ -133,8 +133,8 @@ def test_merge_respondent_absorbs_friend():
     assert state.kind[0] == RESPONDENT
     assert state.lo[0] == state.hi[0] == 34  # exact category kept
     assert not state.alive[3]
-    # friend 3's adjacency to respondent 2 transferred to the survivor
-    assert 2 in state.adj[0] and 0 in state.adj[2]
+    # the respondent keeps exactly its own bans: the friends it named
+    assert state.ban[0] == {1, 6}
     check_coalescer_state(f, UNIFORM50, 5, state, [(0, 3)])
 
 
@@ -144,10 +144,19 @@ def test_merge_friends_intersect_payloads():
     survivor = state.merge(3, 1)
     assert survivor == 1  # smaller id wins for friend pairs
     assert (state.lo[1], state.hi[1]) == (34, 34)
+    assert state.ban[1] == {0, 6}
     check_coalescer_state(f, UNIFORM50, 5, state, [(1, 3)])
     # a second merge with a now-disjoint interval must refuse
     with pytest.raises(ValueError):
         state.merge(1, 5)  # [34,34] x [36,40]
+    check_coalescer_state(f, UNIFORM50, 5, state, [(1, 3)])
+    # friend 3 absorbs friend 6 of respondent 0, and with it 6's bans:
+    # respondent 0 and its other friend 1
+    state = ReconState(f, UNIFORM50, n_t=5)
+    assert state.merge(6, 3) == 3
+    assert (state.lo[3], state.hi[3]) == (34, 35)
+    assert state.ban[3] == {0, 1}
+    check_coalescer_state(f, UNIFORM50, 5, state, [(3, 6)])
 
 
 def test_merge_rejects_respondent_pair():
